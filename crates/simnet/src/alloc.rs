@@ -81,43 +81,43 @@ pub struct AllocScratch {
     route_span: Vec<(u32, u32)>,
     /// Per-member rate accumulator during subset rounds.
     rate_local: Vec<f64>,
-    /// Dedup marker in pod-rank space (ranked waterfills); all-false
+    /// Dedup marker in pod-rank space ([`waterfill_pod`]); all-false
     /// between calls.
     rank_seen: Vec<bool>,
-    /// Ascending pod-local ranks the current ranked filling touches.
+    /// Ascending pod-local ranks the current pod filling touches.
     touched: Vec<u32>,
-    /// Inverted rank→member index for the recorded pod waterfill:
+    /// Inverted rank→member index for the pod waterfill:
     /// member positions crossing each touched rank, flattened.
     crossers_flat: Vec<u32>,
     /// `crossers_flat` span per pod rank; only touched ranks are read.
     crossers_span: Vec<(u32, u32)>,
-    /// Integer crosser count per rank (recorded engine). Mirrors the f64
+    /// Integer crosser count per rank (pod engine). Mirrors the f64
     /// mass exactly: masses are whole numbers, and whole numbers up to
     /// 2^53 are exact in f64, so `cnt as f64` is bitwise the value the
     /// reference engine accumulates by repeated `+= 1.0`.
     mass_cnt: Vec<u32>,
-    /// Per-member still-filling flag (recorded engine); mirrors
+    /// Per-member still-filling flag (pod engine); mirrors
     /// membership of `unfrozen` in the reference engine.
     active: Vec<bool>,
     /// Ranks that crossed the saturation threshold this round.
     newly_sat: Vec<u32>,
     /// Candidate (`residual / mass`) per *live* rank, computed during
-    /// the recorded engine's min pass and reused for binding marks, so
-    /// the division runs once per rank per round.
+    /// the pod engine's subtraction pass and read by the next round's
+    /// min pass, so the division runs once per rank per round.
     cand: Vec<f64>,
-    /// Unfrozen member positions (recorded engine), swap-removed as
+    /// Unfrozen member positions (pod engine), swap-removed as
     /// members freeze so late rounds iterate only the survivors.
     live_members: Vec<u32>,
     /// Member position → index in `live_members`; only read while the
     /// member is unfrozen.
     member_pos: Vec<u32>,
-    /// Rank id → touched position for the current recording; only read
+    /// Rank id → touched position for the current pod filling; only read
     /// for ranks on the current `touched` list.
     rank_pos: Vec<u32>,
     /// Touched positions whose crosser count changed during this round's
     /// freezes; their cached candidates are re-divided once per round.
     mass_changed: Vec<u32>,
-    /// Integer crosser count per touched position (recorded engine).
+    /// Integer crosser count per touched position (pod engine).
     cnt_local: Vec<u32>,
     /// Touched positions permuted ascending by crosser count — a bucket
     /// queue: dead ranks (count 0) collect at the front and leave the
@@ -131,8 +131,6 @@ pub struct AllocScratch {
     bucket_start: Vec<u32>,
     /// Scratch cursors for the counting sort that seeds `order`.
     bucket_cursor: Vec<u32>,
-    /// Live ranks whose candidate equals this round's increment.
-    ties: Vec<u32>,
 }
 
 impl AllocScratch {
@@ -511,550 +509,26 @@ pub fn waterfill_subset_dense(
     }
 }
 
-/// Rank-space pod waterfill: bit-identical to [`waterfill_subset_dense`]
-/// over the same members, but with every per-call global-array access
-/// hoisted out. The caller provides the pod's capacities indexed by
-/// *pod-local rank* and each member's route pre-translated to ranks in a
-/// flat stride-[`ROUTE_RANK_STRIDE`] arena (`slot_routes`, cached at
-/// arrival; `slot_route_len[slot]` is the live prefix) — a recompute
-/// then touches only pod-sized rank-indexed scratch, never the
-/// fabric-sized residual/mass/dedup tables or the view structs.
-///
-/// Bit-identity argument: ranks ascend with global link id inside a pod,
-/// so the ascending `touched` scan visits links in exactly the order the
-/// subset variant's ascending global union scan does; member order,
-/// per-route order, and the freeze/retain logic are unchanged; and
-/// `caps[rank]` is the same capacity value `topo.capacity` returns (the
-/// caller invalidates its snapshot on every fault). The unit tests pin
-/// ranked-vs-subset equality, and the caching differential suites pin it
-/// end to end.
 /// Entries reserved per arena slot in the flat rank-route arenas fed to
-/// [`waterfill_pod_ranked`]. Pod-local fat-tree routes are at most 4 hops
+/// [`waterfill_pod`]. Pod-local fat-tree routes are at most 4 hops
 /// (host→edge→agg→edge→host); 8 leaves headroom and keeps each slot's
 /// route within a single cache line.
 pub const ROUTE_RANK_STRIDE: usize = 8;
 
-/// Route-hop total at or below which [`waterfill_pod_recorded`]
-/// dispatches to the member-major [`waterfill_pod_recorded_small`]
-/// instead of building its rank-translated bucket-queue engine: for a
-/// pod this narrow the setup costs more than every round it would
-/// accelerate. Output and recorded state are bitwise identical either
-/// way (see the small engine's doc comment for the argument).
-const SMALL_POD_RANKS: usize = 64;
-
-pub fn waterfill_pod_ranked(
-    caps: &[f64],
-    subset: &[usize],
-    slots: &[u32],
-    slot_routes: &[u32],
-    slot_route_len: &[u8],
-    rates: &mut [f64],
-    ws: &mut AllocScratch,
-) {
-    debug_assert_eq!(subset.len(), slots.len());
-    let AllocScratch {
-        unfrozen,
-        residual_local,
-        mass_local,
-        routes_local,
-        route_span,
-        rate_local,
-        rank_seen,
-        touched,
-        ..
-    } = ws;
-    if rank_seen.len() < caps.len() {
-        rank_seen.resize(caps.len(), false);
-    }
-    if residual_local.len() < caps.len() {
-        residual_local.resize(caps.len(), 0.0);
-    }
-    if mass_local.len() < caps.len() {
-        mass_local.resize(caps.len(), 0.0);
-    }
-    // Flatten the members' cached rank routes and collect the touched
-    // ranks, ascending (rank order == ascending global order).
-    routes_local.clear();
-    route_span.clear();
-    rate_local.clear();
-    touched.clear();
-    for &slot in slots {
-        let start = routes_local.len() as u32;
-        let base = slot as usize * ROUTE_RANK_STRIDE;
-        let len = slot_route_len[slot as usize] as usize;
-        for &l in &slot_routes[base..base + len] {
-            routes_local.push(l);
-            if !rank_seen[l as usize] {
-                rank_seen[l as usize] = true;
-                touched.push(l);
-            }
-        }
-        route_span.push((start, routes_local.len() as u32));
-        rate_local.push(0.0);
-    }
-    touched.sort_unstable();
-    for &l in touched.iter() {
-        rank_seen[l as usize] = false; // restore the all-false invariant
-        residual_local[l as usize] = caps[l as usize];
-    }
-    // `unfrozen` holds member ranks (positions in `subset`).
-    unfrozen.clear();
-    unfrozen.extend(0..subset.len());
-
-    while !unfrozen.is_empty() {
-        for &l in touched.iter() {
-            mass_local[l as usize] = 0.0;
-        }
-        for &j in unfrozen.iter() {
-            let (s, e) = route_span[j];
-            for &l in &routes_local[s as usize..e as usize] {
-                mass_local[l as usize] += 1.0;
-            }
-        }
-        let mut inc = f64::INFINITY;
-        for &l in touched.iter() {
-            let m = mass_local[l as usize];
-            if m > EPS {
-                inc = inc.min((residual_local[l as usize].max(0.0)) / m);
-            }
-        }
-        if !inc.is_finite() {
-            break;
-        }
-        // Adding `inc` directly is the exact weight-1.0 specialization
-        // (see waterfill_subset_dense).
-        for &j in unfrozen.iter() {
-            rate_local[j] += inc;
-            let (s, e) = route_span[j];
-            for &l in &routes_local[s as usize..e as usize] {
-                residual_local[l as usize] -= inc;
-            }
-        }
-        let before = unfrozen.len();
-        unfrozen.retain(|&j| {
-            let (s, e) = route_span[j];
-            for &l in &routes_local[s as usize..e as usize] {
-                if residual_local[l as usize] <= EPS {
-                    return false;
-                }
-            }
-            true
-        });
-        if unfrozen.len() == before {
-            break;
-        }
-    }
-    for (j, &i) in subset.iter().enumerate() {
-        rates[i] = rate_local[j];
-    }
-}
-
-/// Converged fill state of one pod, recorded by
-/// [`waterfill_pod_recorded`] and patched in place by single-flow deltas.
+/// Rank-space pod waterfill: the sparse pod refill of
+/// [`crate::runner::PodMaxMinPolicy`]. Bit-identical to
+/// [`waterfill_subset_dense`] over the same members (the unit tests pin
+/// this), but it never touches the fabric-sized tables or the view
+/// structs. The caller provides the pod's capacities indexed by
+/// *pod-local rank* and each member's route pre-translated to ranks in a
+/// flat stride-[`ROUTE_RANK_STRIDE`] arena (`slot_routes`, cached at
+/// arrival; `slot_route_len[slot]` is the live prefix); `caps[rank]` is
+/// the same capacity value `topo.capacity` returns (the caller drops its
+/// snapshot on every fault). Ranks ascend with global link id inside a
+/// pod, so rank order is the subset engine's ascending link order.
 ///
-/// A pod waterfill is a sequence of *rounds*; round `r` (1-based) raises
-/// every still-filling member by `incs[r-1]` and then freezes the members
-/// whose route hit a saturated rank. The cache stores, per member, the
-/// round it froze at (`freeze_round`, so its rate is bitwise
-/// `incs[..freeze_round]` accumulated by `+=` from 0.0), and per pod
-/// rank, the first round the rank's candidate level *equalled* the chosen
-/// increment (`bound_round`, every tie marked) and the first round at
-/// whose end its residual fell to ≤ EPS (`sat_round`). Those two arrays
-/// are exactly what the patch admissibility checks need: a delta is
-/// patchable only when replaying it could not have changed any round's
-/// increment or any survivor's freeze round — in which case every
-/// survivor's rate is bitwise unchanged and the patched cache equals what
-/// a fresh recorded run would have produced (see DESIGN.md §13).
-///
-/// `valid` is true only after a *clean* convergence (every member froze);
-/// any full recompute through a non-recording path, fault, or capacity
-/// mutation must invalidate the entry.
-#[derive(Debug, Default, Clone)]
-pub struct PodFill {
-    valid: bool,
-    /// Round increments, in order; `incs.len()` is the round count.
-    incs: Vec<f64>,
-    /// Member slots in id-sorted member order (parallels the pod's
-    /// membership list at record time).
-    member_slots: Vec<u32>,
-    /// 1-based round each member froze at; member `j`'s rate is the
-    /// `+=`-accumulation of `incs[..freeze_round[j]]`.
-    freeze_round: Vec<u32>,
-    /// Per rank: first round whose increment this rank's candidate
-    /// equalled (all ties marked), `u32::MAX` if never.
-    bound_round: Vec<u32>,
-    /// Per rank: first round at whose end the residual was ≤ EPS,
-    /// `u32::MAX` if never.
-    sat_round: Vec<u32>,
-    /// Per rank: crosser count among the recorded membership (patches
-    /// keep it in step with arrivals/departures). Every member is still
-    /// filling at round 1, so this is exactly the rank's round-1 mass;
-    /// an arrival's round-1 candidate is then `caps / (mass0 + 1)`,
-    /// which lets hopeless patch attempts bail in O(route hops) before
-    /// building crossing lists. Zero off `touched` by the same
-    /// induction as the round marks.
-    mass0: Vec<u32>,
-    /// Arrival-replay scratch: crossing members' freeze rounds per hop of
-    /// the new flow's route (sorted ascending), reused across patches.
-    crossing: Vec<Vec<u32>>,
-    /// Ranks whose `bound_round`/`sat_round` entries were written by the
-    /// last recording (plus any ranks an arrival patch added). Every
-    /// entry off this list is `u32::MAX`, so a re-record resets only
-    /// these instead of memsetting the pod's whole rank universe —
-    /// sparse pods re-record in O(touched), not O(nranks).
-    touched: Vec<u32>,
-}
-
-impl PodFill {
-    /// Whether the entry holds a clean recorded fill that patches may
-    /// build on.
-    pub fn is_valid(&self) -> bool {
-        self.valid
-    }
-
-    /// Drops the recorded state; the next fill must re-record before any
-    /// patch is attempted. Called on faults, capacity mutations, and any
-    /// recompute through a non-recording path.
-    pub fn invalidate(&mut self) {
-        self.valid = false;
-    }
-
-    /// Member count of the recorded fill (for cheap consistency checks
-    /// against the caller's membership list).
-    pub fn members(&self) -> usize {
-        self.member_slots.len()
-    }
-
-    /// Round count of the recorded fill (`incs.len()`).
-    pub fn incs_len(&self) -> usize {
-        self.incs.len()
-    }
-
-    /// Attempts to remove the member at position `pos` (id-sorted order)
-    /// without recomputing the pod. Returns `true` and updates the cache
-    /// in place when the departure provably leaves every survivor's rate
-    /// bitwise unchanged; returns `false` (cache untouched) otherwise.
-    ///
-    /// Admissibility: writing `R_surv` for the latest round any survivor
-    /// froze at, every rank `l` on the departing route must satisfy
-    /// `bound_round[l] > R_surv` (l never set a round's increment while
-    /// survivors were still filling — including ranks the departing flow
-    /// crossed alone, which could otherwise have set the global minimum)
-    /// and no survivor crossing `l` may have frozen exactly at
-    /// `sat_round[l]` (saturation freezes every unfrozen crosser, so a
-    /// crossing survivor always froze at or before `sat_round[l]`;
-    /// requiring "strictly before" means its freeze was forced by a rank
-    /// off the departing route, whose residual history is bitwise
-    /// identical without the departed flow). On success the rounds up to
-    /// `R_surv` replay identically without the departed member, so the
-    /// increments truncate, survivor rates are untouched, and `l`'s
-    /// candidate (residual up, mass down) can only rise — `bound_round`
-    /// resets to "never" for the departed route's ranks.
-    pub fn depart(&mut self, pos: usize, slot_routes: &[u32], slot_route_len: &[u8]) -> bool {
-        if !self.valid || pos >= self.member_slots.len() {
-            return false;
-        }
-        let slot = self.member_slots[pos] as usize;
-        let dbase = slot * ROUTE_RANK_STRIDE;
-        let dlen = slot_route_len[slot] as usize;
-        let droute = &slot_routes[dbase..dbase + dlen];
-        let mut r_surv: u32 = 0;
-        for (j, &f) in self.freeze_round.iter().enumerate() {
-            if j != pos {
-                r_surv = r_surv.max(f);
-            }
-        }
-        for &l in droute {
-            if self.bound_round[l as usize] <= r_surv {
-                return false;
-            }
-        }
-        for (j, &s) in self.member_slots.iter().enumerate() {
-            if j == pos {
-                continue;
-            }
-            let base = s as usize * ROUTE_RANK_STRIDE;
-            let len = slot_route_len[s as usize] as usize;
-            for &h in &slot_routes[base..base + len] {
-                if droute.contains(&h) && self.freeze_round[j] == self.sat_round[h as usize] {
-                    return false;
-                }
-            }
-        }
-        // Patch: survivors are bitwise unchanged; drop the member,
-        // truncate the round list, and forget the departed route's
-        // binding marks (exact: its candidates only rise). Saturation
-        // marks beyond the truncated horizon go stale-high, which is
-        // sound — they can only force a fallback, never admit one —
-        // and an arrival replay overwrites its route's marks exactly.
-        for &l in droute {
-            self.bound_round[l as usize] = u32::MAX;
-            self.mass0[l as usize] -= 1;
-        }
-        self.member_slots.remove(pos);
-        self.freeze_round.remove(pos);
-        self.incs.truncate(r_surv as usize);
-        true
-    }
-
-    /// Attempts to add a member with arena slot `slot` at id-sorted
-    /// position `pos` without recomputing the pod. Returns the new
-    /// member's rate (every existing member's rate is bitwise unchanged)
-    /// and updates the cache in place, or `None` (cache untouched) when
-    /// any recorded round could have diverged.
-    ///
-    /// The patch replays only the new route's ranks through the recorded
-    /// rounds: survivors crossing each rank and the recorded increments
-    /// reproduce the rank's residual history bitwise (subtracting the
-    /// same increment n times yields the same value in any order), so
-    /// every admissibility comparison is exact. A round is rejected if
-    /// the rank's candidate level would have tied or undercut the
-    /// recorded increment (the "epsilon guard": ties fall back rather
-    /// than reason about ordering), or if a saturation would have frozen
-    /// a survivor earlier than recorded. If the new flow outlives all
-    /// recorded rounds it takes one extra solo round over its own
-    /// residuals, which is appended to the record.
-    pub fn arrive(
-        &mut self,
-        slot: u32,
-        pos: usize,
-        caps: &[f64],
-        slot_routes: &[u32],
-        slot_route_len: &[u8],
-    ) -> Option<f64> {
-        if !self.valid || pos > self.member_slots.len() {
-            return None;
-        }
-        debug_assert!(!self.member_slots.contains(&slot));
-        let abase = slot as usize * ROUTE_RANK_STRIDE;
-        let alen = slot_route_len[slot as usize] as usize;
-        if alen == 0 || alen > ROUTE_RANK_STRIDE {
-            return None;
-        }
-        let aroute = &slot_routes[abase..abase + alen];
-        // Round-1 pre-filter: every recorded member is still filling at
-        // round 1, so the newcomer's rank candidates there are exactly
-        // `caps / (mass0 + 1)` — the same whole-number division the
-        // replay below performs, hence bitwise the same comparison.
-        // Anything at or below the recorded first increment trips the
-        // epsilon guard anyway; bailing here skips the
-        // O(members × hops) crossing-list build, which keeps *failed*
-        // patch attempts cheap in trickle regimes where most arrivals
-        // tie the uniform fabric level.
-        if let Some(&inc0) = self.incs.first() {
-            for &l in aroute {
-                let li = l as usize;
-                if caps[li].max(0.0) / (self.mass0[li] + 1) as f64 <= inc0 {
-                    return None;
-                }
-            }
-        }
-        // Crossing survivors' freeze rounds per hop, ascending.
-        if self.crossing.len() < alen {
-            self.crossing.resize_with(alen, Vec::new);
-        }
-        for c in self.crossing.iter_mut() {
-            c.clear();
-        }
-        for (j, &s) in self.member_slots.iter().enumerate() {
-            let base = s as usize * ROUTE_RANK_STRIDE;
-            let len = slot_route_len[s as usize] as usize;
-            for &h in &slot_routes[base..base + len] {
-                for (k, &a) in aroute.iter().enumerate() {
-                    if h == a {
-                        self.crossing[k].push(self.freeze_round[j]);
-                    }
-                }
-            }
-        }
-        for c in self.crossing.iter_mut() {
-            c.sort_unstable();
-        }
-        let r_max = self.incs.len() as u32;
-        let mut res = [0.0f64; ROUTE_RANK_STRIDE];
-        let mut first_sat = [u32::MAX; ROUTE_RANK_STRIDE];
-        let mut ptr = [0usize; ROUTE_RANK_STRIDE];
-        for (k, &l) in aroute.iter().enumerate() {
-            res[k] = caps[l as usize];
-        }
-        let mut a_rate = 0.0f64;
-        let mut a_freeze: u32 = 0; // 0 = still filling
-        for r in 1..=r_max {
-            let inc = self.incs[(r - 1) as usize];
-            let a_active = a_freeze == 0;
-            if a_active {
-                a_rate += inc;
-            }
-            for k in 0..alen {
-                let cross = &self.crossing[k];
-                while ptr[k] < cross.len() && cross[ptr[k]] < r {
-                    ptr[k] += 1;
-                }
-                let n = (cross.len() - ptr[k]) + a_active as usize;
-                if n == 0 {
-                    continue;
-                }
-                // The rank joins this round's minimum with the new flow's
-                // mass included; anything ≤ the recorded increment means
-                // the round's level would have moved (or tied) — bail.
-                let cand = res[k].max(0.0) / (n as f64);
-                if cand <= inc {
-                    return None;
-                }
-                for _ in 0..n {
-                    res[k] -= inc;
-                }
-            }
-            let mut a_hit = false;
-            for k in 0..alen {
-                if res[k] <= EPS && first_sat[k] == u32::MAX {
-                    // A crossing survivor still filling after this round
-                    // would have been frozen here instead — diverges.
-                    if self.crossing[k].last().is_some_and(|&f| f > r) {
-                        return None;
-                    }
-                    first_sat[k] = r;
-                    if a_freeze == 0 {
-                        a_hit = true;
-                    }
-                }
-            }
-            if a_hit {
-                a_freeze = r;
-            }
-        }
-        let mut solo_inc = None;
-        if a_freeze == 0 {
-            // The new flow outlives every recorded round: one extra round
-            // with only it filling, exactly what a fresh run would append.
-            let mut inc = f64::INFINITY;
-            for &r in res.iter().take(alen) {
-                inc = inc.min(r.max(0.0) / 1.0);
-            }
-            if !inc.is_finite() {
-                return None;
-            }
-            a_rate += inc;
-            let mut sat_any = false;
-            for k in 0..alen {
-                let bound = (res[k].max(0.0) / 1.0) == inc;
-                res[k] -= inc;
-                if res[k] <= EPS && first_sat[k] == u32::MAX {
-                    first_sat[k] = r_max + 1;
-                    sat_any = true;
-                }
-                if bound {
-                    // Binding marks for the solo round are recorded via
-                    // sat/first use below; stash in first pass through
-                    // bound_round update after commit.
-                    let l = aroute[k] as usize;
-                    self.bound_round[l] = u32::MAX - 1; // sentinel, fixed below
-                }
-            }
-            if !sat_any {
-                // Would need a second solo round — cannot happen for a
-                // finite increment (the argmin residual lands exactly on
-                // 0.0), kept as a defensive fallback.
-                for &l in aroute.iter().take(alen) {
-                    if self.bound_round[l as usize] == u32::MAX - 1 {
-                        self.bound_round[l as usize] = u32::MAX;
-                    }
-                }
-                return None;
-            }
-            solo_inc = Some(inc);
-            a_freeze = r_max + 1;
-        }
-        // Commit. Rounds 1..=r_max were verified unchanged, so survivor
-        // rates and freeze rounds hold; the new route's ranks never bound
-        // within them (strict inequality above), so their binding marks
-        // are "never" unless the solo round set them, and their
-        // saturation marks are the replay's exact values.
-        for (k, &l) in aroute.iter().enumerate() {
-            // Ranks only the new flow crosses may be new to the recorded
-            // touched set; register them so the next re-record resets
-            // their marks (the off-list-is-MAX invariant).
-            if !self.touched.contains(&l) {
-                self.touched.push(l);
-            }
-            let l = l as usize;
-            self.mass0[l] += 1;
-            self.sat_round[l] = first_sat[k];
-            if self.bound_round[l] == u32::MAX - 1 {
-                self.bound_round[l] = r_max + 1;
-            } else {
-                self.bound_round[l] = u32::MAX;
-            }
-        }
-        if let Some(inc) = solo_inc {
-            self.incs.push(inc);
-        }
-        self.member_slots.insert(pos, slot);
-        self.freeze_round.insert(pos, a_freeze);
-        Some(a_rate)
-    }
-}
-
-/// Per-pod [`PodFill`] entries plus the hit/fallback counters surfaced in
-/// `DriveStats` — the fill cache of the pod-decomposed waterfill.
-#[derive(Debug, Default, Clone)]
-pub struct FillCache {
-    pods: Vec<PodFill>,
-    /// Single-delta allocations answered by an in-place patch.
-    pub hits: u64,
-    /// Sparse-path pod recomputes (full refills, including failed patch
-    /// attempts and multi-pod batches).
-    pub fallbacks: u64,
-}
-
-impl FillCache {
-    /// Grows the per-pod table to `npods` entries (new entries invalid).
-    pub fn ensure(&mut self, npods: usize) {
-        if self.pods.len() < npods {
-            self.pods.resize_with(npods, PodFill::default);
-        }
-    }
-
-    /// The pod's entry; callers must have sized the table via [`ensure`].
-    ///
-    /// [`ensure`]: FillCache::ensure
-    pub fn pod_mut(&mut self, pod: usize) -> &mut PodFill {
-        &mut self.pods[pod]
-    }
-
-    /// Invalidates every pod's recorded fill (faults, capacity churn,
-    /// whole-fabric fallback repairs).
-    pub fn invalidate_all(&mut self) {
-        for p in self.pods.iter_mut() {
-            p.valid = false;
-        }
-    }
-
-    /// Exclusive references to the entries for `pods` (strictly
-    /// ascending), for handing disjoint pods to worker threads — the
-    /// threaded sparse refill records through these so fill validity
-    /// (and therefore patch-hit accounting) never depends on the thread
-    /// count.
-    pub fn pods_mut(&mut self, pods: &[usize]) -> Vec<&mut PodFill> {
-        debug_assert!(pods.windows(2).all(|w| w[0] < w[1]));
-        let mut want = pods.iter().copied().peekable();
-        let mut out = Vec::with_capacity(pods.len());
-        for (i, f) in self.pods.iter_mut().enumerate() {
-            if want.peek() == Some(&i) {
-                want.next();
-                out.push(f);
-            }
-        }
-        debug_assert_eq!(out.len(), pods.len());
-        out
-    }
-}
-
-/// Ranked pod waterfill that additionally records the converged fill
-/// structure into `fill` for later delta patching. Bit-identical to
-/// [`waterfill_pod_ranked`] over the same inputs (the unit tests pin
-/// this), but restructured around an inverted rank→member index so a
-/// round costs O(active route hops) instead of three full member sweeps:
+/// The rounds run on an inverted rank→member index, so a round costs
+/// O(active route hops) instead of three full member sweeps:
 ///
 /// - masses are maintained as integer crosser counts, decremented as
 ///   members freeze (whole-number f64 arithmetic is exact, so
@@ -1067,8 +541,7 @@ impl FillCache {
 /// - a member freezes in the round a route rank first reaches ≤ EPS,
 ///   which is exactly the reference's end-of-round retain test: an
 ///   active member's ranks were all > EPS at the previous round's end.
-#[allow(clippy::too_many_arguments)]
-pub fn waterfill_pod_recorded(
+pub fn waterfill_pod(
     caps: &[f64],
     subset: &[usize],
     slots: &[u32],
@@ -1076,31 +549,8 @@ pub fn waterfill_pod_recorded(
     slot_route_len: &[u8],
     rates: &mut [f64],
     ws: &mut AllocScratch,
-    fill: &mut PodFill,
 ) {
     debug_assert_eq!(subset.len(), slots.len());
-    // Tiny pods (the trickle regime: a handful of members on short
-    // routes) are dominated by the setup below — rank translation,
-    // crosser spans, the bucket permutation — not by rounds. The total
-    // route-hop count bounds the touched-rank count, so it is the cheap
-    // pre-test; such pods take the member-major engine instead.
-    let route_sum: usize = slots
-        .iter()
-        .map(|&s| slot_route_len[s as usize] as usize)
-        .sum();
-    if route_sum <= SMALL_POD_RANKS {
-        waterfill_pod_recorded_small(
-            caps,
-            subset,
-            slots,
-            slot_routes,
-            slot_route_len,
-            rates,
-            ws,
-            fill,
-        );
-        return;
-    }
     let AllocScratch {
         rate_local,
         rank_seen,
@@ -1123,7 +573,6 @@ pub fn waterfill_pod_recorded(
         opos,
         bucket_start,
         bucket_cursor,
-        ties,
         ..
     } = ws;
     let nranks = caps.len();
@@ -1136,27 +585,6 @@ pub fn waterfill_pod_recorded(
     if crossers_span.len() < nranks {
         crossers_span.resize(nranks, (0, 0));
     }
-    fill.valid = false;
-    fill.incs.clear();
-    fill.member_slots.clear();
-    fill.member_slots.extend_from_slice(slots);
-    fill.freeze_round.clear();
-    fill.freeze_round.resize(subset.len(), 0);
-    // Reset only the rank entries the previous recording (or an arrival
-    // patch) wrote: everything off `fill.touched` is already `u32::MAX`
-    // by induction, so a sparse pod re-records without touching its
-    // whole rank universe.
-    if fill.bound_round.len() < nranks {
-        fill.bound_round.resize(nranks, u32::MAX);
-        fill.sat_round.resize(nranks, u32::MAX);
-        fill.mass0.resize(nranks, 0);
-    }
-    for &l in fill.touched.iter() {
-        fill.bound_round[l as usize] = u32::MAX;
-        fill.sat_round[l as usize] = u32::MAX;
-        fill.mass0[l as usize] = 0;
-    }
-    fill.touched.clear();
     // Touched ranks (ascending) and integer masses.
     touched.clear();
     let n = subset.len();
@@ -1173,10 +601,9 @@ pub fn waterfill_pod_recorded(
             mass_cnt[li] += 1;
         }
     }
-    // Intra-round results are order-independent (min, equality marks,
-    // and counted subtractions all commute bitwise), so any
-    // deterministic touched order works; plain ascending keeps the
-    // recorded `fill.touched` canonical for the patch paths.
+    // Intra-round results are order-independent (min and counted
+    // subtractions both commute bitwise), so any deterministic touched
+    // order works; plain ascending mirrors the subset engine.
     touched.sort_unstable();
     let tcount = touched.len();
     // Everything the round loop reads or writes per iteration lives in
@@ -1196,7 +623,6 @@ pub fn waterfill_pod_recorded(
         let li = l as usize;
         rank_seen[li] = false; // restore the all-false invariant
         rank_pos[li] = t as u32;
-        fill.mass0[li] = mass_cnt[li];
         residual_local.push(caps[li]);
         cnt_local.push(mass_cnt[li]);
         maxc = maxc.max(mass_cnt[li]);
@@ -1261,7 +687,6 @@ pub fn waterfill_pod_recorded(
         }
         route_span.push((start, routes_local.len() as u32));
     }
-    fill.touched.extend_from_slice(touched);
     rate_local.clear();
     rate_local.resize(n, 0.0);
     active.clear();
@@ -1271,52 +696,33 @@ pub fn waterfill_pod_recorded(
     member_pos.clear();
     member_pos.extend(0..n as u32);
     // Running prefix of the increment sequence. Every member active
-    // through round `r` accumulates exactly `incs[..r]` in order, so one
+    // through round `r` accumulates exactly rounds 1..=r's increments in
+    // order, so one
     // shared fold replaces the reference's per-member accumulators:
     // assigning `prefix` at freeze time is bitwise the same value.
     let mut prefix = 0.0f64;
-    let mut round: u32 = 0;
 
     while !live_members.is_empty() {
-        round += 1;
         let live0 = bucket_start[1] as usize;
         // Min pass over live ranks only: a pure scan of the cached
         // candidates — the divisions already happened in the previous
         // round's subtraction pass (or the freeze fix-ups). The scan
         // runs count-descending (reversed bucket order) because heavier
         // ranks tend toward smaller candidates, so the running min
-        // settles early and the tie branch stays predictable. Min over
+        // settles early and the branch stays predictable. Min over
         // non-NaN values is order-independent and ties carry identical
-        // bits, so any scan order picks the reference minimum's bits;
-        // the tie list doubles as the binding-mark set, replacing a
-        // separate equality sweep.
+        // bits, so any scan order picks the reference minimum's bits.
         let mut inc = f64::INFINITY;
-        ties.clear();
         for i in (live0..tcount).rev() {
-            let t = order[i] as usize;
-            let c = cand[t];
+            let c = cand[order[i] as usize];
             if c < inc {
                 inc = c;
-                ties.clear();
-                ties.push(t as u32);
-            } else if c == inc {
-                ties.push(t as u32);
             }
         }
         if !inc.is_finite() {
             break;
         }
-        fill.incs.push(inc);
         prefix += inc;
-        // Binding marks: every live rank whose candidate equals the
-        // chosen increment this round (`==` on the stored bits is
-        // exact; dead ranks were never scanned).
-        for &t in ties.iter() {
-            let li = touched[t as usize] as usize;
-            if fill.bound_round[li] == u32::MAX {
-                fill.bound_round[li] = round;
-            }
-        }
         // Rank-major counted subtraction over the live suffix, fused
         // with saturation detection and the next round's candidate
         // division. Per rank the reference subtracts `inc` once per
@@ -1391,9 +797,6 @@ pub fn waterfill_pod_recorded(
                 i += 1;
             }
         }
-        for &t in newly_sat.iter() {
-            fill.sat_round[touched[t as usize] as usize] = round;
-        }
         let before = live_members.len();
         mass_changed.clear();
         for &t in newly_sat.iter() {
@@ -1403,7 +806,6 @@ pub fn waterfill_pod_recorded(
                 if active[j] {
                     active[j] = false;
                     rate_local[j] = prefix;
-                    fill.freeze_round[j] = round;
                     let p = member_pos[j] as usize;
                     live_members.swap_remove(p);
                     if p < live_members.len() {
@@ -1451,192 +853,9 @@ pub fn waterfill_pod_recorded(
     // Members that never froze (zero-capacity stall or a no-progress
     // round) hold everything accumulated so far — the same fold `prefix`
     // carries.
-    let frozen_all = live_members.is_empty();
     for &j in live_members.iter() {
         rate_local[j as usize] = prefix;
     }
-    for (j, &i) in subset.iter().enumerate() {
-        rates[i] = rate_local[j];
-    }
-    fill.valid = frozen_all;
-}
-
-/// Member-major recorded waterfill for tiny pods: the
-/// [`waterfill_pod_ranked`] round loop (rebuild masses, take the min,
-/// subtract, retain) plus the [`PodFill`] recording of
-/// [`waterfill_pod_recorded`]. A pod whose members touch at most
-/// [`SMALL_POD_RANKS`] route hops spends more on the recorded engine's
-/// setup — rank translation, crosser spans, the bucket permutation —
-/// than on every round that setup would accelerate, so this path skips
-/// all of it and pays O(route hops) per round on global-rank arrays.
-///
-/// Output and recorded state are bitwise identical to the bucket
-/// engine: masses rebuilt by `+= 1.0` over whole numbers equal the
-/// counted `cnt as f64`; the min over per-rank candidates is
-/// scan-order independent with ties carrying identical bits; each
-/// member's `+=` rate accumulation folds the same increments in the
-/// same order as the shared prefix; and the binding/saturation marks
-/// repeat the min pass's divisions bit-for-bit, so the `==` tests
-/// recover exactly the tie set the bucket engine reads off its tie
-/// list and exactly the first-saturation rounds its retired ranks
-/// imply.
-#[allow(clippy::too_many_arguments)]
-fn waterfill_pod_recorded_small(
-    caps: &[f64],
-    subset: &[usize],
-    slots: &[u32],
-    slot_routes: &[u32],
-    slot_route_len: &[u8],
-    rates: &mut [f64],
-    ws: &mut AllocScratch,
-    fill: &mut PodFill,
-) {
-    let AllocScratch {
-        unfrozen,
-        residual_local,
-        mass_local,
-        routes_local,
-        route_span,
-        rate_local,
-        rank_seen,
-        touched,
-        ..
-    } = ws;
-    let nranks = caps.len();
-    if rank_seen.len() < nranks {
-        rank_seen.resize(nranks, false);
-    }
-    if residual_local.len() < nranks {
-        residual_local.resize(nranks, 0.0);
-    }
-    if mass_local.len() < nranks {
-        mass_local.resize(nranks, 0.0);
-    }
-    fill.valid = false;
-    fill.incs.clear();
-    fill.member_slots.clear();
-    fill.member_slots.extend_from_slice(slots);
-    fill.freeze_round.clear();
-    fill.freeze_round.resize(subset.len(), 0);
-    // Same sparse mark reset as the bucket engine: everything off the
-    // previous recording's `touched` list is already `u32::MAX` / zero
-    // by induction.
-    if fill.bound_round.len() < nranks {
-        fill.bound_round.resize(nranks, u32::MAX);
-        fill.sat_round.resize(nranks, u32::MAX);
-        fill.mass0.resize(nranks, 0);
-    }
-    for &l in fill.touched.iter() {
-        fill.bound_round[l as usize] = u32::MAX;
-        fill.sat_round[l as usize] = u32::MAX;
-        fill.mass0[l as usize] = 0;
-    }
-    fill.touched.clear();
-    // Flatten the members' cached rank routes (global rank ids — no
-    // translation) and collect the touched ranks, counting round-1
-    // crossers into `mass0` as a side effect (off-list entries are zero
-    // by the induction above, so `+= 1` starts from a clean slate).
-    routes_local.clear();
-    route_span.clear();
-    rate_local.clear();
-    touched.clear();
-    for &slot in slots {
-        let start = routes_local.len() as u32;
-        let base = slot as usize * ROUTE_RANK_STRIDE;
-        let len = slot_route_len[slot as usize] as usize;
-        for &l in &slot_routes[base..base + len] {
-            routes_local.push(l);
-            fill.mass0[l as usize] += 1;
-            if !rank_seen[l as usize] {
-                rank_seen[l as usize] = true;
-                touched.push(l);
-            }
-        }
-        route_span.push((start, routes_local.len() as u32));
-        rate_local.push(0.0);
-    }
-    touched.sort_unstable();
-    for &l in touched.iter() {
-        rank_seen[l as usize] = false; // restore the all-false invariant
-        residual_local[l as usize] = caps[l as usize];
-    }
-    fill.touched.extend_from_slice(touched);
-    unfrozen.clear();
-    unfrozen.extend(0..subset.len());
-
-    let mut round: u32 = 0;
-    while !unfrozen.is_empty() {
-        round += 1;
-        for &l in touched.iter() {
-            mass_local[l as usize] = 0.0;
-        }
-        for &j in unfrozen.iter() {
-            let (s, e) = route_span[j];
-            for &l in &routes_local[s as usize..e as usize] {
-                mass_local[l as usize] += 1.0;
-            }
-        }
-        let mut inc = f64::INFINITY;
-        for &l in touched.iter() {
-            let m = mass_local[l as usize];
-            if m > EPS {
-                inc = inc.min((residual_local[l as usize].max(0.0)) / m);
-            }
-        }
-        if !inc.is_finite() {
-            break;
-        }
-        fill.incs.push(inc);
-        // Binding marks: repeating the min pass's division lands on the
-        // same bits, so `==` finds every rank that tied this round's
-        // increment.
-        for &l in touched.iter() {
-            let li = l as usize;
-            let m = mass_local[li];
-            if m > EPS
-                && (residual_local[li].max(0.0)) / m == inc
-                && fill.bound_round[li] == u32::MAX
-            {
-                fill.bound_round[li] = round;
-            }
-        }
-        for &j in unfrozen.iter() {
-            rate_local[j] += inc;
-            let (s, e) = route_span[j];
-            for &l in &routes_local[s as usize..e as usize] {
-                residual_local[l as usize] -= inc;
-            }
-        }
-        // Saturation marks: a rank that still had active crossers this
-        // round and ended ≤ EPS freezes them all in the retain below,
-        // so its mass is zero in every later round and the mark is
-        // written at most once — the bucket engine's retired-rank
-        // semantics.
-        for &l in touched.iter() {
-            let li = l as usize;
-            if mass_local[li] > EPS && residual_local[li] <= EPS && fill.sat_round[li] == u32::MAX {
-                fill.sat_round[li] = round;
-            }
-        }
-        let before = unfrozen.len();
-        unfrozen.retain(|&j| {
-            let (s, e) = route_span[j];
-            for &l in &routes_local[s as usize..e as usize] {
-                if residual_local[l as usize] <= EPS {
-                    fill.freeze_round[j] = round;
-                    return false;
-                }
-            }
-            true
-        });
-        if unfrozen.len() == before {
-            break;
-        }
-    }
-    // Members that never froze (zero-capacity stall or a no-progress
-    // round) keep their accumulated rate; the fill is only patchable
-    // after a clean convergence.
-    fill.valid = unfrozen.is_empty();
     for (j, &i) in subset.iter().enumerate() {
         rates[i] = rate_local[j];
     }
@@ -2226,9 +1445,9 @@ mod tests {
         alloc_to_dense(&flows, &alloc, &mut out);
     }
 
-    /// Randomized rank-space pod instances for the fill-cache tests: an
-    /// id-sorted membership over a stride-arena of rank routes, mutated
-    /// by arrivals/departures/capacity churn like the policy would.
+    /// Randomized rank-space pod instances: an id-sorted membership over
+    /// a stride-arena of rank routes, mutated by arrivals, departures and
+    /// capacity churn like the policy would see them.
     struct PodSim {
         caps: Vec<f64>,
         ids: Vec<u64>,
@@ -2239,17 +1458,8 @@ mod tests {
     }
 
     impl PodSim {
-        fn new(rng: &mut echelon_detrand::DetRng) -> PodSim {
-            let nranks = rng.usize_range_inclusive(2, 10);
-            let caps = (0..nranks)
-                .map(|_| {
-                    if rng.usize_range_inclusive(0, 9) == 0 {
-                        0.0 // exercise saturated-at-birth ranks
-                    } else {
-                        rng.f64_range(0.25, 3.0)
-                    }
-                })
-                .collect();
+        fn new(rng: &mut echelon_detrand::DetRng, nranks: usize) -> PodSim {
+            let caps = (0..nranks).map(|_| Self::random_cap(rng)).collect();
             PodSim {
                 caps,
                 ids: Vec::new(),
@@ -2260,9 +1470,16 @@ mod tests {
             }
         }
 
-        /// Adds a member with a random distinct-rank route; returns its
-        /// id-sorted position.
-        fn arrive(&mut self, rng: &mut echelon_detrand::DetRng) -> usize {
+        fn random_cap(rng: &mut echelon_detrand::DetRng) -> f64 {
+            if rng.usize_range_inclusive(0, 9) == 0 {
+                0.0 // exercise saturated-at-birth ranks
+            } else {
+                rng.f64_range(0.25, 3.0)
+            }
+        }
+
+        /// Adds a member with a random distinct-rank route.
+        fn arrive(&mut self, rng: &mut echelon_detrand::DetRng) {
             let id = loop {
                 let id = rng.next_u64();
                 if self.ids.binary_search(&id).is_err() {
@@ -2281,14 +1498,11 @@ mod tests {
             rng.shuffle(&mut route);
             route.truncate(hops);
             let base = slot as usize * ROUTE_RANK_STRIDE;
-            for (k, &l) in route.iter().enumerate() {
-                self.slot_routes[base + k] = l;
-            }
+            self.slot_routes[base..base + hops].copy_from_slice(&route);
             self.slot_route_len[slot as usize] = hops as u8;
             let pos = self.ids.binary_search(&id).unwrap_err();
             self.ids.insert(pos, id);
             self.slots.insert(pos, slot);
-            pos
         }
 
         fn depart(&mut self, pos: usize) {
@@ -2297,11 +1511,20 @@ mod tests {
             self.free_slots.push(slot);
         }
 
-        /// Full refill through the unrecorded reference engine.
-        fn reference(&self, ws: &mut AllocScratch) -> Vec<f64> {
+        fn route(&self, slot: u32) -> &[u32] {
+            let base = slot as usize * ROUTE_RANK_STRIDE;
+            &self.slot_routes[base..base + self.slot_route_len[slot as usize] as usize]
+        }
+
+        fn route_hops(&self) -> usize {
+            self.slots.iter().map(|&s| self.route(s).len()).sum()
+        }
+
+        /// Refill through the rank-space pod engine.
+        fn pod(&self, ws: &mut AllocScratch) -> Vec<f64> {
             let subset: Vec<usize> = (0..self.ids.len()).collect();
             let mut rates = vec![f64::NAN; self.ids.len()];
-            waterfill_pod_ranked(
+            waterfill_pod(
                 &self.caps,
                 &subset,
                 &self.slots,
@@ -2313,20 +1536,31 @@ mod tests {
             rates
         }
 
-        /// Full refill through the recording engine.
-        fn recorded(&self, ws: &mut AllocScratch, fill: &mut PodFill) -> Vec<f64> {
-            let subset: Vec<usize> = (0..self.ids.len()).collect();
-            let mut rates = vec![f64::NAN; self.ids.len()];
-            waterfill_pod_recorded(
-                &self.caps,
-                &subset,
-                &self.slots,
-                &self.slot_routes,
-                &self.slot_route_len,
-                &mut rates,
-                ws,
-                fill,
-            );
+        /// The same pod on a stand-in topology whose resource `r` is rank
+        /// `r`, refilled through the subset reference.
+        fn subset(&self, ws: &mut AllocScratch) -> Vec<f64> {
+            let mut topo = Topology::big_switch_uniform(self.caps.len().div_ceil(2), 1.0);
+            for (r, &c) in self.caps.iter().enumerate() {
+                topo.set_capacity(ResourceId(r as u32), c);
+            }
+            let flows: Vec<ActiveFlowView> = self
+                .ids
+                .iter()
+                .zip(&self.slots)
+                .map(|(&id, &slot)| ActiveFlowView {
+                    id: FlowId(id),
+                    slot,
+                    src: NodeId(0),
+                    dst: NodeId(0),
+                    size: 1.0,
+                    remaining: 1.0,
+                    release: SimTime::ZERO,
+                    route: self.route(slot).iter().map(|&l| ResourceId(l)).collect(),
+                })
+                .collect();
+            let subset: Vec<usize> = (0..flows.len()).collect();
+            let mut rates = vec![f64::NAN; flows.len()];
+            waterfill_subset_dense(&topo, &flows, &subset, &mut rates, ws);
             rates
         }
     }
@@ -2338,93 +1572,61 @@ mod tests {
         }
     }
 
+    /// Random arrival/departure/capacity-churn sequences over tiny pods
+    /// (at most 64 route hops, the trickle regime) and wide ones (past
+    /// 64, where the four-lane subtraction and the bucket queue do real
+    /// work): after every step the pod engine must match the subset
+    /// reference bit for bit.
     #[test]
-    fn recorded_engine_matches_ranked_bitwise() {
+    fn pod_engine_matches_subset_bitwise() {
         let mut ws = AllocScratch::new();
-        let mut fill = PodFill::default();
-        let mut clean_runs = 0usize;
-        for seed in 0..300u64 {
+        let (mut tiny, mut wide, mut filled) = (0usize, 0usize, 0usize);
+        for seed in 0..200u64 {
             let mut rng = echelon_detrand::DetRng::seed_from_u64(0xF111 + seed);
-            let mut sim = PodSim::new(&mut rng);
-            for _ in 0..rng.usize_range_inclusive(0, 12) {
+            let (nranks, members) = if seed % 2 == 0 {
+                (
+                    rng.usize_range_inclusive(2, 10),
+                    rng.usize_range_inclusive(0, 12),
+                )
+            } else {
+                (
+                    rng.usize_range_inclusive(16, 64),
+                    rng.usize_range_inclusive(24, 96),
+                )
+            };
+            let mut sim = PodSim::new(&mut rng, nranks);
+            for _ in 0..members {
                 sim.arrive(&mut rng);
             }
-            let want = sim.reference(&mut ws);
-            let got = sim.recorded(&mut ws, &mut fill);
-            assert_bits_eq(&want, &got);
-            if fill.is_valid() {
-                clean_runs += 1;
-                assert_eq!(fill.members(), sim.ids.len());
-            }
-        }
-        // Non-vacuity: the recording must usually converge cleanly.
-        assert!(clean_runs > 200, "only {clean_runs} clean recordings");
-    }
-
-    /// Random single-delta sequences (arrivals, departures, capacity
-    /// churn standing in for faults): after every step the maintained
-    /// rates — updated by in-place patches when admissible, refilled
-    /// otherwise — must match a full reference recompute bit-for-bit,
-    /// and both patch directions must actually fire (non-vacuity).
-    #[test]
-    fn fill_patches_match_full_recompute_bitwise() {
-        let mut ws = AllocScratch::new();
-        let mut arrive_hits = 0usize;
-        let mut depart_hits = 0usize;
-        for seed in 0..120u64 {
-            let mut rng = echelon_detrand::DetRng::seed_from_u64(0xDE17A + seed);
-            let mut sim = PodSim::new(&mut rng);
-            let mut fill = PodFill::default();
-            for _ in 0..rng.usize_range_inclusive(0, 6) {
-                sim.arrive(&mut rng);
-            }
-            let mut cur = sim.recorded(&mut ws, &mut fill);
-            for _ in 0..40 {
+            for _ in 0..12 {
+                if sim.route_hops() <= 64 {
+                    tiny += 1;
+                } else {
+                    wide += 1;
+                }
+                let got = sim.pod(&mut ws);
+                assert_bits_eq(&got, &sim.subset(&mut ws));
+                filled += got.iter().filter(|&&r| r > 0.0).count();
                 match rng.usize_range_inclusive(0, 9) {
                     0 => {
                         // Capacity churn: what a fault does to the pod.
                         let l = rng.usize_range_inclusive(0, sim.caps.len() - 1);
-                        sim.caps[l] = rng.f64_range(0.0, 3.0);
-                        fill.invalidate();
-                        cur = sim.recorded(&mut ws, &mut fill);
+                        sim.caps[l] = PodSim::random_cap(&mut rng);
                     }
-                    1..=5 => {
-                        let pos = sim.arrive(&mut rng);
-                        let slot = sim.slots[pos];
-                        match fill.arrive(
-                            slot,
-                            pos,
-                            &sim.caps,
-                            &sim.slot_routes,
-                            &sim.slot_route_len,
-                        ) {
-                            Some(rate) => {
-                                arrive_hits += 1;
-                                cur.insert(pos, rate);
-                            }
-                            None => cur = sim.recorded(&mut ws, &mut fill),
-                        }
-                    }
+                    1..=4 => sim.arrive(&mut rng),
                     _ => {
-                        if sim.ids.is_empty() {
-                            continue;
-                        }
-                        let pos = rng.usize_range_inclusive(0, sim.ids.len() - 1);
-                        sim.depart(pos);
-                        if fill.depart(pos, &sim.slot_routes, &sim.slot_route_len) {
-                            depart_hits += 1;
-                            cur.remove(pos);
-                        } else {
-                            cur = sim.recorded(&mut ws, &mut fill);
+                        if !sim.ids.is_empty() {
+                            let pos = rng.usize_range_inclusive(0, sim.ids.len() - 1);
+                            sim.depart(pos);
                         }
                     }
                 }
-                assert_bits_eq(&cur, &sim.reference(&mut ws));
             }
         }
-        // Non-vacuity, mirroring the threaded_pods() pattern: the patch
-        // paths must have answered a healthy share of the deltas.
-        assert!(arrive_hits > 50, "only {arrive_hits} arrival patches");
-        assert!(depart_hits > 50, "only {depart_hits} departure patches");
+        // Non-vacuity: both pod regimes ran, and the fills were not all
+        // zero-capacity stalls.
+        assert!(tiny > 500, "only {tiny} tiny-pod fills");
+        assert!(wide > 500, "only {wide} wide-pod fills");
+        assert!(filled > 10_000, "only {filled} positive rates");
     }
 }

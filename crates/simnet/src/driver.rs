@@ -316,14 +316,11 @@ pub struct DriveStats {
     /// a batch of N same-instant events contributes N-1. Zero means every
     /// batch was a single event (no simultaneous cohorts in the run).
     pub batched_events: usize,
-    /// Single-flow deltas answered by patching a pod's recorded fill in
-    /// place instead of refilling it (see
-    /// [`RatePolicy::delta_fill_stats`]). Zero for policies without a
-    /// fill cache.
+    /// Retired delta-fill counter, kept only because the benchmark
+    /// adapter still reads it; always zero (see
+    /// [`RatePolicy::delta_fill_stats`]).
     pub delta_fill_hits: u64,
-    /// Pods refilled from scratch on the sparse path (failed patch
-    /// attempts, multi-pod batches, invalidated caches), summed
-    /// likewise. Zero for policies without a fill cache.
+    /// Retired like [`Self::delta_fill_hits`]; always zero.
     pub delta_fill_fallbacks: u64,
     /// Wall-clock phase breakdown (all zero unless
     /// [`DriveConfig::profile`] was on).
@@ -652,6 +649,7 @@ pub fn drive_faulted_configured(
         stats.pods_recomputed = recomputed;
         stats.pods_total = total;
     }
+    // Kept only for the benchmark adapter; no policy reports these.
     if let Some((hits, fallbacks)) = policy.delta_fill_stats() {
         stats.delta_fill_hits = hits;
         stats.delta_fill_fallbacks = fallbacks;

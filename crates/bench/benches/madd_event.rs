@@ -9,7 +9,10 @@
 //!   flows and rebuild every transient map from scratch;
 //! - **indexed** — the warmed `allocate_cached_dense`: the link-indexed
 //!   cache is consistent, so the event runs entirely out of the flat
-//!   CSR/`LinkLoad` workspaces with no per-event heap allocation.
+//!   CSR/`LinkLoad` workspaces with no per-event heap allocation. Varys
+//!   reaches the same engine through `allocate_dense_incremental` with an
+//!   empty delta (its incremental path is `EchelonMadd` over the Coflow
+//!   embeddings).
 //!
 //! The two paths are bit-identical by contract (asserted once per
 //! configuration before timing); the gap between the curves is the win
@@ -28,6 +31,7 @@ use echelon_sched::varys::VarysMadd;
 use echelon_simnet::alloc::AllocScratch;
 use echelon_simnet::fattree::FatTree;
 use echelon_simnet::flow::ActiveFlowView;
+use echelon_simnet::fluid::FlowDelta;
 use echelon_simnet::ids::{FlowId, NodeId};
 use echelon_simnet::runner::RatePolicy;
 use echelon_simnet::time::SimTime;
@@ -141,7 +145,9 @@ fn main() {
                 topo,
                 &views,
                 &mut varys,
-                |p, now, f, t, ws, out| p.allocate_cached_dense(now, f, t, ws, out),
+                |p, now, f, t, ws, out| {
+                    p.allocate_dense_incremental(now, f, &FlowDelta::default(), t, ws, out)
+                },
             );
         }
     }

@@ -61,6 +61,7 @@ use echelon_paradigms::runtime::{
 use echelon_sched::baselines::SrptPolicy;
 use echelon_sched::echelon::EchelonMadd;
 use echelon_sched::varys::VarysMadd;
+use echelon_simnet::digest::Fnv1a;
 use echelon_simnet::driver::{DriveConfig, PhaseTimings};
 use echelon_simnet::fattree::FatTree;
 use echelon_simnet::fault::{FaultKind, FaultPlan};
@@ -653,18 +654,17 @@ fn scale_config() -> DriveConfig {
     }
 }
 
-/// FNV-style digest over the completion map (deterministic iteration
+/// FNV-1a digest over the completion map (deterministic iteration
 /// order): the byte-identity witness for scale runs, where full rate
 /// traces are too large to keep.
 fn completion_digest(out: &FlowOutcomes) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
+    let mut h = Fnv1a::new();
     for (id, c) in out.completions() {
         for word in [id.0, c.finish.secs().to_bits(), c.size.to_bits()] {
-            h ^= word;
-            h = h.wrapping_mul(0x100000001b3);
+            h.mix(word);
         }
     }
-    h
+    h.finish()
 }
 
 fn run_scale(spec: &ScaleSpec) -> (ScaleRow, u64) {

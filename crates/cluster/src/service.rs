@@ -49,6 +49,7 @@ use echelon_sched::baselines::{FifoPolicy, SrptPolicy};
 use echelon_sched::echelon::EchelonMadd;
 use echelon_sched::varys::VarysMadd;
 use echelon_simnet::alloc::{AllocScratch, RateAlloc};
+use echelon_simnet::digest::Fnv1a;
 use echelon_simnet::fault::{FaultKind, FaultPlan};
 use echelon_simnet::flow::ActiveFlowView;
 use echelon_simnet::fluid::FlowDelta;
@@ -792,20 +793,16 @@ pub struct ServiceOutcome {
 /// FNV-1a digest over a run's flow finish times and job makespans.
 /// Streaming and materialized runs of the same workload must agree.
 pub fn completion_digest(result: &RunResult) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mix = |h: &mut u64, x: u64| {
-        *h ^= x;
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
+    let mut h = Fnv1a::new();
     for (id, t) in &result.flow_finishes {
-        mix(&mut h, id.0);
-        mix(&mut h, t.secs().to_bits());
+        h.mix(id.0);
+        h.mix(t.secs().to_bits());
     }
     for (job, t) in &result.job_makespans {
-        mix(&mut h, u64::from(job.0));
-        mix(&mut h, t.secs().to_bits());
+        h.mix(u64::from(job.0));
+        h.mix(t.secs().to_bits());
     }
-    h
+    h.finish()
 }
 
 /// Runs `cfg`'s job stream as a service on `topo` under `kind`, in the

@@ -1023,24 +1023,6 @@ pub fn run_jobs_faulted_every_event(
     finish_run(drive_faulted(topo, &mut source, policy, mode, plan), source)
 }
 
-/// [`run_jobs_arriving`] under an injected [`FaultPlan`].
-pub fn run_jobs_arriving_faulted(
-    topo: &Topology,
-    dags: &[&JobDag],
-    arrivals: &[SimTime],
-    policy: &mut dyn RatePolicy,
-    mode: RecomputeMode,
-    plan: &FaultPlan,
-) -> RunResult {
-    assert_eq!(
-        arrivals.len(),
-        dags.len(),
-        "one arrival time per job dag required"
-    );
-    let mut source = JobSource::new(dags, arrivals.to_vec());
-    finish_run(drive_faulted(topo, &mut source, policy, mode, plan), source)
-}
-
 /// Runs an open-loop service: jobs are admitted incrementally from
 /// `feed` (see [`JobFeed`]) instead of being pre-materialized, each job's
 /// bookkeeping and DAG are dropped when it retires, and its worker claims

@@ -80,7 +80,7 @@ pub enum IntraMode {
 
 /// Grouping key: declared EchelonFlow or implicit singleton.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum GroupKey {
+pub(crate) enum GroupKey {
     Echelon(EchelonId),
     Solo(FlowId),
 }
@@ -133,7 +133,7 @@ pub struct EchelonMadd {
     links: LinkIndex,
     // Reusable flat group structure + per-link accumulator for the
     // cached allocation path: steady-state events allocate nothing.
-    scratch: GroupCsr<GroupKey>,
+    scratch: GroupCsr,
     load: LinkLoad,
 }
 
@@ -603,7 +603,7 @@ impl EchelonMadd {
         now: SimTime,
         flows: &[ActiveFlowView],
         topo: &Topology,
-        sc: &mut GroupCsr<GroupKey>,
+        sc: &mut GroupCsr,
         load: &mut LinkLoad,
     ) {
         let groups = sc.keys.len();
@@ -782,7 +782,7 @@ impl EchelonMadd {
         flows: &[ActiveFlowView],
         topo: &Topology,
         ws: &mut AllocScratch,
-        sc: &mut GroupCsr<GroupKey>,
+        sc: &mut GroupCsr,
         load: &mut LinkLoad,
         rates: &mut Vec<f64>,
     ) {
@@ -890,7 +890,7 @@ impl EchelonMadd {
     /// each member's position in the id-sorted flow slice once. Groups
     /// land in ascending key order (the member cache's `BTreeMap`
     /// iteration order), members in their cached EDD order.
-    fn build_csr(&self, flows: &[ActiveFlowView], sc: &mut GroupCsr<GroupKey>) {
+    fn build_csr(&self, flows: &[ActiveFlowView], sc: &mut GroupCsr) {
         sc.clear_groups();
         for (k, list) in &self.cached_members {
             sc.keys.push(*k);

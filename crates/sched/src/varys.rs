@@ -14,8 +14,22 @@
 //! bytes, which on the paper's Fig. 2 instance reproduces the published
 //! schedule exactly: the three staggered 2B flows converge to rates
 //! (B/6, B/3, B/2) and all finish at t = 7.
+//!
+//! Two paths compute the same schedule. The naive
+//! [`RatePolicy::allocate_dense`] is the independent CCT reference: it
+//! regroups the active flows and ranks coflows by their bottleneck Γ
+//! directly. The incremental entry points run the one MADD engine,
+//! [`EchelonMadd`], over the Coflow embeddings: a Coflow is an
+//! EchelonFlow whose arrangement is `d_j = r` (Property 2), so each
+//! coflow is a single deadline stage, and the Coflow orderings carry over
+//! by swapping the ranking metric (Property 4) — SEBF is
+//! [`InterOrder::LeastWork`], BSSI is [`InterOrder::Bssi`], and arrival
+//! order is [`InterOrder::EarliestDeadline`] (every member's ideal finish
+//! is the coflow's first release). The engine also owns the coflow
+//! registry, so `register`/`evict` and the occupancy counters go through
+//! its [`crate::book::EchelonBook`].
 
-use crate::scratch::GroupCsr;
+use crate::echelon::{EchelonMadd, InterOrder};
 use crate::sincronia::{bssi_order, GroupLoad};
 use echelon_core::coflow::Coflow;
 use echelon_core::EchelonId;
@@ -23,7 +37,6 @@ use echelon_simnet::alloc::{dense_to_alloc, waterfill_dense, AllocScratch, RateA
 use echelon_simnet::flow::ActiveFlowView;
 use echelon_simnet::fluid::FlowDelta;
 use echelon_simnet::ids::FlowId;
-use echelon_simnet::linkindex::{LinkIndex, LinkLoad};
 use echelon_simnet::runner::RatePolicy;
 use echelon_simnet::time::{SimTime, EPS};
 use echelon_simnet::topology::Topology;
@@ -40,6 +53,16 @@ pub enum CoflowOrder {
     Arrival,
 }
 
+/// The EchelonFlow ordering that ranks Coflow embeddings exactly as
+/// `order` ranks the coflows themselves (Property 4).
+fn inter_of(order: CoflowOrder) -> InterOrder {
+    match order {
+        CoflowOrder::Sebf => InterOrder::LeastWork,
+        CoflowOrder::Bssi => InterOrder::Bssi,
+        CoflowOrder::Arrival => InterOrder::EarliestDeadline,
+    }
+}
+
 /// Grouping key: declared coflow or an implicit singleton for a flow that
 /// belongs to no coflow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -51,24 +74,13 @@ enum GroupKey {
 /// The Varys-style coflow scheduler.
 #[derive(Debug, Clone)]
 pub struct VarysMadd {
-    coflows: BTreeMap<EchelonId, Coflow>,
-    by_flow: BTreeMap<FlowId, EchelonId>,
+    // The EchelonFlow engine over the Coflow embeddings: owns the coflow
+    // registry and serves the incremental entry points.
+    engine: EchelonMadd,
     order: CoflowOrder,
     backfill: bool,
-    /// High-water mark of registered coflows (open-loop memory witness).
-    peak_occupancy: usize,
+    // First-seen time per group, read by the naive path's arrival order.
     arrivals: BTreeMap<GroupKey, SimTime>,
-    // Incremental state: id-ordered member list per active group, patched
-    // by `apply_delta` and consumed by `allocate_cached`. The naive
-    // `allocate` path neither reads nor writes it.
-    cached_members: BTreeMap<GroupKey, Vec<FlowId>>,
-    // Link-indexed adjacency over the active set, maintained from the
-    // same delta stream as `cached_members` (so one consistency check
-    // covers both).
-    links: LinkIndex,
-    // Reusable flat workspaces for the cached allocation path.
-    scratch: GroupCsr<GroupKey>,
-    load: LinkLoad,
 }
 
 impl VarysMadd {
@@ -79,28 +91,13 @@ impl VarysMadd {
     ///
     /// Panics if coflows share ids or flows.
     pub fn new(coflows: Vec<Coflow>) -> VarysMadd {
-        let mut map = BTreeMap::new();
-        let mut by_flow = BTreeMap::new();
-        for c in coflows {
-            for f in c.flows() {
-                let prev = by_flow.insert(f.id, c.id());
-                assert!(prev.is_none(), "flow {} claimed by two coflows", f.id);
-            }
-            let id = c.id();
-            assert!(map.insert(id, c).is_none(), "duplicate coflow id {id}");
-        }
-        let peak = map.len();
+        let order = CoflowOrder::Sebf;
+        let echelons = coflows.into_iter().map(Coflow::into_echelon).collect();
         VarysMadd {
-            coflows: map,
-            by_flow,
-            order: CoflowOrder::Sebf,
+            engine: EchelonMadd::new(echelons).with_inter(inter_of(order)),
+            order,
             backfill: true,
-            peak_occupancy: peak,
             arrivals: BTreeMap::new(),
-            cached_members: BTreeMap::new(),
-            links: LinkIndex::default(),
-            scratch: GroupCsr::default(),
-            load: LinkLoad::default(),
         }
     }
 
@@ -112,16 +109,7 @@ impl VarysMadd {
     ///
     /// Panics if the id or any member flow is already claimed.
     pub fn register(&mut self, coflow: Coflow) {
-        for f in coflow.flows() {
-            let prev = self.by_flow.insert(f.id, coflow.id());
-            assert!(prev.is_none(), "flow {} claimed by two coflows", f.id);
-        }
-        let id = coflow.id();
-        assert!(
-            self.coflows.insert(id, coflow).is_none(),
-            "duplicate coflow id {id}"
-        );
-        self.peak_occupancy = self.peak_occupancy.max(self.coflows.len());
+        self.engine.register(coflow.into_echelon());
     }
 
     /// Evicts a completed coflow, refusing (returning `false`) while any
@@ -129,56 +117,52 @@ impl VarysMadd {
     /// completion changes no later allocation: departed flows are never
     /// consulted again. Unknown ids are a no-op returning `false`.
     pub fn evict(&mut self, id: EchelonId, active: &[ActiveFlowView]) -> bool {
-        if !self.coflows.contains_key(&id) {
-            return false;
+        let evicted = self.engine.evict(id, active);
+        if evicted {
+            self.arrivals.remove(&GroupKey::Co(id));
         }
-        if active.iter().any(|v| self.by_flow.get(&v.id) == Some(&id)) {
-            return false;
-        }
-        let c = self.coflows.remove(&id).expect("checked above");
-        for f in c.flows() {
-            self.by_flow.remove(&f.id);
-        }
-        self.arrivals.remove(&GroupKey::Co(id));
-        debug_assert!(
-            !self.cached_members.contains_key(&GroupKey::Co(id)),
-            "evicted coflow {id} still has cached members"
-        );
-        true
+        evicted
     }
 
     /// Number of coflows currently registered.
     pub fn occupancy(&self) -> usize {
-        self.coflows.len()
+        self.engine.book().occupancy()
     }
 
     /// High-water mark of registered coflows over the scheduler's life.
     pub fn peak_occupancy(&self) -> usize {
-        self.peak_occupancy
+        self.engine.book().peak_occupancy()
     }
 
     /// Selects the inter-coflow ordering.
     pub fn with_order(mut self, order: CoflowOrder) -> VarysMadd {
         self.order = order;
+        self.engine = self.engine.with_inter(inter_of(order));
         self
     }
 
     /// Enables/disables work-conserving backfill.
     pub fn with_backfill(mut self, backfill: bool) -> VarysMadd {
         self.backfill = backfill;
+        self.engine = self.engine.with_backfill(backfill);
         self
     }
 
     fn group_of(&self, flow: FlowId) -> GroupKey {
-        match self.by_flow.get(&flow) {
-            Some(id) => GroupKey::Co(*id),
+        match self.engine.book().echelon_of(flow) {
+            Some(h) => GroupKey::Co(h.id()),
             None => GroupKey::Solo(flow),
         }
     }
 
     fn weight_of(&self, key: GroupKey) -> f64 {
         match key {
-            GroupKey::Co(id) => self.coflows[&id].weight(),
+            GroupKey::Co(id) => self
+                .engine
+                .book()
+                .get(id)
+                .expect("registered coflow")
+                .weight(),
             GroupKey::Solo(_) => 1.0,
         }
     }
@@ -249,174 +233,10 @@ impl VarysMadd {
         keys
     }
 
-    /// [`Self::gamma`] over a CSR member slice: per-link sums accumulate
-    /// into the reusable [`LinkLoad`] in the same member order with the
-    /// same first-touch semantics as the map build, and the max folds
-    /// over the ascending touched-link list exactly as the map fold
-    /// enumerates its keys — bit-identical by construction.
-    fn gamma_csr(
-        flows: &[ActiveFlowView],
-        pos: &[usize],
-        topo: &Topology,
-        load: &mut LinkLoad,
-    ) -> f64 {
-        load.begin(topo.num_resources());
-        for &p in pos {
-            let v = &flows[p];
-            for r in &v.route {
-                load.add(*r, v.remaining / topo.capacity(*r));
-            }
-        }
-        load.sort_touched();
-        let mut gamma = 0.0f64;
-        for i in 0..load.touched().len() {
-            gamma = gamma.max(load.get(load.touched()[i]));
-        }
-        gamma
-    }
-
-    /// Inter-coflow ordering over the flat group structure: each group's
-    /// ranking value is computed once into a reusable rank buffer, then
-    /// `order` is sorted with a strict total order (deterministic key
-    /// tie-break), yielding exactly the naive path's order.
-    fn order_groups(
-        &self,
-        now: SimTime,
-        flows: &[ActiveFlowView],
-        topo: &Topology,
-        sc: &mut GroupCsr<GroupKey>,
-        load: &mut LinkLoad,
-    ) {
-        let groups = sc.keys.len();
-        sc.order.clear();
-        sc.order.extend(0..groups);
-        match self.order {
-            CoflowOrder::Sebf => {
-                sc.rank.clear();
-                for g in 0..groups {
-                    sc.rank.push(Self::gamma_csr(
-                        flows,
-                        &sc.pos[sc.starts[g]..sc.starts[g + 1]],
-                        topo,
-                        load,
-                    ));
-                }
-                let GroupCsr {
-                    keys, order, rank, ..
-                } = sc;
-                order.sort_by(|&a, &b| rank[a].total_cmp(&rank[b]).then(keys[a].cmp(&keys[b])));
-            }
-            CoflowOrder::Arrival => {
-                sc.rank_time.clear();
-                for g in 0..groups {
-                    sc.rank_time
-                        .push(self.arrivals.get(&sc.keys[g]).copied().unwrap_or(now));
-                }
-                let GroupCsr {
-                    keys,
-                    order,
-                    rank_time,
-                    ..
-                } = sc;
-                order.sort_by(|&a, &b| rank_time[a].cmp(&rank_time[b]).then(keys[a].cmp(&keys[b])));
-            }
-            CoflowOrder::Bssi => {
-                // Non-default ablation: keep the map-based load build (the
-                // BSSI solve itself dominates). Member positions index the
-                // id-sorted flow slice and the cached lists are id-sorted,
-                // so the pos slice already enumerates members in ascending
-                // id order — the naive path's float summation order.
-                let mut key_for_id = BTreeMap::new();
-                let loads: Vec<GroupLoad> = (0..groups)
-                    .map(|g| {
-                        let id = EchelonId(g as u64);
-                        key_for_id.insert(id, g);
-                        let mut load = BTreeMap::new();
-                        for &p in &sc.pos[sc.starts[g]..sc.starts[g + 1]] {
-                            let v = &flows[p];
-                            for r in &v.route {
-                                *load.entry(r.0).or_insert(0.0) += v.remaining / topo.capacity(*r);
-                            }
-                        }
-                        GroupLoad {
-                            id,
-                            weight: self.weight_of(sc.keys[g]),
-                            load,
-                        }
-                    })
-                    .collect();
-                sc.order.clear();
-                sc.order
-                    .extend(bssi_order(&loads).into_iter().map(|id| key_for_id[&id]));
-            }
-        }
-    }
-
-    /// Serving pass over the flat group structure: the allocation-free
-    /// mirror of [`Self::serve`]. Member positions are used directly
-    /// instead of re-finding each flow by binary search, and the per-link
-    /// byte sums live in the reusable [`LinkLoad`] (gamma folds over the
-    /// ascending touched-link list, exactly the map iteration order).
-    fn serve_csr(
-        &self,
-        flows: &[ActiveFlowView],
-        topo: &Topology,
-        ws: &mut AllocScratch,
-        sc: &mut GroupCsr<GroupKey>,
-        load: &mut LinkLoad,
-        rates: &mut Vec<f64>,
-    ) {
-        debug_assert!(flows.windows(2).all(|w| w[0].id < w[1].id));
-        topo.capacities_into(&mut sc.residual);
-        rates.clear();
-        rates.resize(flows.len(), 0.0);
-        for oi in 0..sc.order.len() {
-            let g = sc.order[oi];
-            let members = &sc.pos[sc.starts[g]..sc.starts[g + 1]];
-            // Γ against residual capacity.
-            load.begin(sc.residual.len());
-            for &p in members {
-                let v = &flows[p];
-                for r in &v.route {
-                    load.add(*r, v.remaining);
-                }
-            }
-            load.sort_touched();
-            let mut gamma: f64 = 0.0;
-            for i in 0..load.touched().len() {
-                let r = load.touched()[i];
-                let res = sc.residual[r.0 as usize];
-                if res <= EPS {
-                    gamma = f64::INFINITY;
-                    break;
-                }
-                gamma = gamma.max(load.get(r) / res);
-            }
-            if !gamma.is_finite() || gamma <= EPS {
-                continue; // dense rates are already zero
-            }
-            for &p in members {
-                let v = &flows[p];
-                let rate = v.remaining / gamma;
-                rates[p] = rate;
-                for r in &v.route {
-                    sc.residual[r.0 as usize] = (sc.residual[r.0 as usize] - rate).max(0.0);
-                }
-            }
-        }
-
-        if self.backfill {
-            // Work conservation: flows may exceed their MADD rate using
-            // leftover capacity, shared max-min — the MADD rates become
-            // the waterfill floor in place.
-            waterfill_dense(topo, flows, None, None, rates, ws);
-        }
-    }
-
     /// Serves pre-ordered groups: MADD against residual capacity, then
     /// optional backfill. The dense allocation (indexed like the
-    /// id-sorted `flows`) lands in `rates`. Shared tail of the naive and
-    /// incremental paths; member lists must be in ascending id order.
+    /// id-sorted `flows`) lands in `rates`. Tail of the naive path;
+    /// member lists must be in ascending id order.
     fn serve(
         &self,
         order: &[GroupKey],
@@ -474,111 +294,6 @@ impl VarysMadd {
             waterfill_dense(topo, flows, None, None, rates, ws);
         }
     }
-
-    /// Updates the cached group membership for the flows that arrived or
-    /// departed since the previous call. `flows` is the current id-sorted
-    /// active set; every arrival/departure must be reported exactly once
-    /// across the sequence of calls ([`Self::allocate_cached`] self-heals
-    /// from missed reports by rebuilding).
-    pub fn apply_delta(&mut self, now: SimTime, flows: &[ActiveFlowView], delta: &FlowDelta) {
-        let mut arrived = delta.arrived.clone();
-        arrived.sort_unstable();
-        for id in arrived {
-            if flows.binary_search_by(|v| v.id.cmp(&id)).is_err() {
-                continue; // arrived and departed without ever being served
-            }
-            let key = self.group_of(id);
-            self.arrivals.entry(key).or_insert(now);
-            let list = self.cached_members.entry(key).or_default();
-            let pos = list.partition_point(|&f| f < id);
-            list.insert(pos, id);
-        }
-        for &id in &delta.departed {
-            let key = self.group_of(id);
-            if let Some(list) = self.cached_members.get_mut(&key) {
-                if let Ok(pos) = list.binary_search(&id) {
-                    list.remove(pos);
-                }
-                if list.is_empty() {
-                    self.cached_members.remove(&key);
-                }
-            }
-        }
-        self.links.apply_delta(flows, delta);
-    }
-
-    /// True when the cache covers exactly the given active set. The link
-    /// index is fed from the same delta stream as the member cache, so
-    /// its O(F) flow-table walk vouches for both.
-    fn cache_consistent(&self, flows: &[ActiveFlowView]) -> bool {
-        self.links.consistent(flows)
-    }
-
-    fn rebuild_cache(&mut self, now: SimTime, flows: &[ActiveFlowView]) {
-        self.cached_members.clear();
-        for v in flows {
-            let key = self.group_of(v.id);
-            self.arrivals.entry(key).or_insert(now);
-            self.cached_members.entry(key).or_default().push(v.id);
-        }
-        self.links.rebuild(flows);
-    }
-
-    /// Allocation from the cached group structure maintained by
-    /// [`Self::apply_delta`]. Requires `flows` sorted by ascending id.
-    /// Observationally identical to the naive [`RatePolicy::allocate`].
-    pub fn allocate_cached(
-        &mut self,
-        now: SimTime,
-        flows: &[ActiveFlowView],
-        topo: &Topology,
-    ) -> RateAlloc {
-        let mut ws = AllocScratch::new();
-        let mut out = Vec::new();
-        self.allocate_cached_dense(now, flows, topo, &mut ws, &mut out);
-        dense_to_alloc(flows, &out)
-    }
-
-    /// [`Self::allocate_cached`] writing the dense allocation (indexed
-    /// like the id-sorted `flows`) into `out` instead of building a map.
-    pub fn allocate_cached_dense(
-        &mut self,
-        now: SimTime,
-        flows: &[ActiveFlowView],
-        topo: &Topology,
-        ws: &mut AllocScratch,
-        out: &mut Vec<f64>,
-    ) {
-        debug_assert!(flows.windows(2).all(|w| w[0].id < w[1].id));
-        if !self.cache_consistent(flows) {
-            self.rebuild_cache(now, flows);
-        }
-        let mut sc = std::mem::take(&mut self.scratch);
-        let mut load = std::mem::take(&mut self.load);
-        self.build_csr(flows, &mut sc);
-        self.order_groups(now, flows, topo, &mut sc, &mut load);
-        self.serve_csr(flows, topo, ws, &mut sc, &mut load, out);
-        self.scratch = sc;
-        self.load = load;
-    }
-
-    /// Flattens the cached member lists into the CSR workspace, resolving
-    /// each member's position in the id-sorted flow slice once. Groups
-    /// land in ascending key order (the member cache's `BTreeMap`
-    /// iteration order), members in ascending id order.
-    fn build_csr(&self, flows: &[ActiveFlowView], sc: &mut GroupCsr<GroupKey>) {
-        sc.clear_groups();
-        for (k, ids) in &self.cached_members {
-            sc.keys.push(*k);
-            for id in ids {
-                let idx = flows
-                    .binary_search_by(|v| v.id.cmp(id))
-                    .expect("cached flow is active");
-                sc.pos.push(idx);
-            }
-            sc.starts.push(sc.pos.len());
-        }
-    }
 }
 
 impl RatePolicy for VarysMadd {
@@ -616,8 +331,7 @@ impl RatePolicy for VarysMadd {
         delta: &FlowDelta,
         topo: &Topology,
     ) -> RateAlloc {
-        self.apply_delta(now, flows, delta);
-        self.allocate_cached(now, flows, topo)
+        self.engine.allocate_incremental(now, flows, delta, topo)
     }
 
     fn allocate_dense_incremental(
@@ -629,8 +343,8 @@ impl RatePolicy for VarysMadd {
         ws: &mut AllocScratch,
         out: &mut Vec<f64>,
     ) {
-        self.apply_delta(now, flows, delta);
-        self.allocate_cached_dense(now, flows, topo, ws, out);
+        self.engine
+            .allocate_dense_incremental(now, flows, delta, topo, ws, out);
     }
 
     fn name(&self) -> &'static str {
@@ -642,7 +356,7 @@ impl RatePolicy for VarysMadd {
     }
 
     fn book_stats(&self) -> Option<(usize, usize)> {
-        Some((self.occupancy(), self.peak_occupancy()))
+        self.engine.book_stats()
     }
 }
 
@@ -834,20 +548,23 @@ mod tests {
         assert!(out.finish(FlowId(1)).unwrap().approx_eq(SimTime::new(3.0)));
     }
 
-    /// The incremental path must be bit-identical to the naive one for
-    /// every coflow ordering.
+    /// The incremental path (the EchelonFlow engine over the Coflow
+    /// embeddings) must be bit-identical to the naive CCT reference for
+    /// every coflow ordering, with and without backfill.
     #[test]
     fn incremental_path_matches_naive() {
         use echelon_simnet::runner::{run_flows_with, RecomputeMode};
         let topo = Topology::big_switch_uniform(4, 1.0);
-        let make = |order| {
+        let make = |order, backfill| {
             let c0 = Coflow::new(
                 EchelonId(0),
                 JobId(0),
                 vec![fr(0, 0, 1, 2.0), fr(1, 0, 1, 2.0), fr(2, 2, 1, 1.0)],
             );
             let c1 = Coflow::new(EchelonId(1), JobId(1), vec![fr(10, 1, 3, 4.0)]);
-            VarysMadd::new(vec![c0, c1]).with_order(order)
+            VarysMadd::new(vec![c0, c1])
+                .with_order(order)
+                .with_backfill(backfill)
         };
         let demands = vec![
             demand(0, 0, 1, 2.0, 1.0),
@@ -857,18 +574,20 @@ mod tests {
             demand(20, 3, 0, 0.7, 0.2), // solo flow
         ];
         for order in [CoflowOrder::Sebf, CoflowOrder::Bssi, CoflowOrder::Arrival] {
-            let a = run_flows(&topo, demands.clone(), &mut make(order));
-            let b = run_flows_with(
-                &topo,
-                demands.clone(),
-                &mut make(order),
-                RecomputeMode::Incremental,
-            );
-            assert_eq!(
-                a.trace().events(),
-                b.trace().events(),
-                "trace mismatch for {order:?}"
-            );
+            for backfill in [true, false] {
+                let a = run_flows(&topo, demands.clone(), &mut make(order, backfill));
+                let b = run_flows_with(
+                    &topo,
+                    demands.clone(),
+                    &mut make(order, backfill),
+                    RecomputeMode::Incremental,
+                );
+                assert_eq!(
+                    a.trace().events(),
+                    b.trace().events(),
+                    "trace mismatch for {order:?}, backfill={backfill}"
+                );
+            }
         }
     }
 

@@ -34,6 +34,8 @@
 //!   times (linear scan or calendar queue, bit-identical by construction).
 //! - [`calendar`] — the bucketed calendar queue over predicted completion
 //!   times backing the fluid layer's next-completion query.
+//! - [`digest`] — word-wise FNV-1a mixing, shared by the completion
+//!   digests that witness bit-identical runs.
 //! - [`fault`] — timed fault injection: link down/restore/degrade,
 //!   coordinator outage windows, and straggler compute slowdowns, driven
 //!   as a first-class event source by [`driver::drive_faulted`].
@@ -74,6 +76,7 @@
 
 pub mod alloc;
 pub mod calendar;
+pub mod digest;
 pub mod driver;
 pub mod fattree;
 pub mod fault;

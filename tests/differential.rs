@@ -180,9 +180,19 @@ fn varys_madd_incremental_matches_full_on_seeded_workloads() {
     let orders = [CoflowOrder::Sebf, CoflowOrder::Bssi, CoflowOrder::Arrival];
     for seed in 0..6u64 {
         for order in orders {
-            assert_flow_level_identical(seed, &format!("VarysMadd {order:?}"), |w| {
-                Box::new(VarysMadd::new(w.coflows.clone()).with_order(order))
-            });
+            for backfill in [true, false] {
+                assert_flow_level_identical(
+                    seed,
+                    &format!("VarysMadd {order:?} backfill={backfill}"),
+                    |w| {
+                        Box::new(
+                            VarysMadd::new(w.coflows.clone())
+                                .with_order(order)
+                                .with_backfill(backfill),
+                        )
+                    },
+                );
+            }
         }
     }
 }

@@ -206,9 +206,19 @@ fn varys_madd_survives_churn_bit_identically() {
     let orders = [CoflowOrder::Sebf, CoflowOrder::Bssi, CoflowOrder::Arrival];
     for seed in 0..4u64 {
         for order in orders {
-            assert_faulted_flow_level_identical(seed, &format!("VarysMadd {order:?}"), |w| {
-                Box::new(VarysMadd::new(w.coflows.clone()).with_order(order))
-            });
+            for backfill in [true, false] {
+                assert_faulted_flow_level_identical(
+                    seed,
+                    &format!("VarysMadd {order:?} backfill={backfill}"),
+                    |w| {
+                        Box::new(
+                            VarysMadd::new(w.coflows.clone())
+                                .with_order(order)
+                                .with_backfill(backfill),
+                        )
+                    },
+                );
+            }
         }
     }
 }

@@ -24,7 +24,9 @@ use crate::api::EchelonRequest;
 use echelon_core::echelon::EchelonFlow;
 use echelon_core::EchelonId;
 use echelon_sched::echelon::{EchelonMadd, InterOrder, IntraMode};
-use echelon_simnet::alloc::{priority_fill, waterfill, RateAlloc};
+use echelon_simnet::alloc::{
+    dense_to_alloc, priority_fill_dense, waterfill_dense, AllocScratch, RateAlloc,
+};
 use echelon_simnet::fault::FaultKind;
 use echelon_simnet::flow::ActiveFlowView;
 use echelon_simnet::fluid::FlowDelta;
@@ -161,13 +163,22 @@ impl Coordinator {
             config: self.config,
             engine,
             cached_order: Vec::new(),
+            cached_ids: Vec::new(),
             last_decision: None,
             last_groups: Vec::new(),
+            groups: Vec::new(),
             first_seen: BTreeMap::new(),
             decisions_computed: 0,
             group_counts: BTreeMap::new(),
             counts_valid: false,
-            cached_between: None,
+            between_valid: false,
+            between_rates: Vec::new(),
+            between_fresh: Vec::new(),
+            fresh: Vec::new(),
+            order: Vec::new(),
+            known_rates: Vec::new(),
+            rank: Vec::new(),
+            arrived: Vec::new(),
             outage: false,
             pending_register: Vec::new(),
             rejected_registrations: 0,
@@ -176,6 +187,12 @@ impl Coordinator {
 }
 
 /// The coordinator's scheduling decision applied as a [`RatePolicy`].
+///
+/// Dense-native: every entry point writes into the caller's rate buffer
+/// and fills through the caller's [`AllocScratch`]; the map-based entry
+/// points are thin adapters. Every flow- or fabric-sized buffer the
+/// decision and between-decisions paths need is owned here and reused,
+/// so a steady-state call (no arrivals) performs no heap allocation.
 #[derive(Debug)]
 pub struct CoordinatedPolicy {
     config: CoordinatorConfig,
@@ -183,9 +200,18 @@ pub struct CoordinatedPolicy {
     /// Decision cache: a global flow priority order, refreshed per
     /// trigger. Flows absent from the cache queue behind it in id order.
     cached_order: Vec<FlowId>,
+    /// The ids of `cached_order`, ascending (the known set the decision
+    /// ran on, which is id-sorted already): lets the between-decisions
+    /// path find the flows missing from the cached order by one merge
+    /// walk instead of a scan per flow.
+    cached_ids: Vec<FlowId>,
     last_decision: Option<SimTime>,
     /// Active EchelonFlow set at the last decision (for PerGroupChange).
     last_groups: Vec<EchelonId>,
+    /// Active EchelonFlow set of the current call, in id order.
+    groups: Vec<EchelonId>,
+    /// Control-latency aging stamps. The incremental path drops a flow's
+    /// stamp when it departs, so there it holds live flows only.
     first_seen: BTreeMap<FlowId, SimTime>,
     decisions_computed: usize,
     /// Incremental state: active member count per EchelonFlow, maintained
@@ -194,16 +220,30 @@ pub struct CoordinatedPolicy {
     /// Whether `group_counts` has been initialised from a full scan.
     counts_valid: bool,
     /// Between-decisions cache: the last allocation returned while no
-    /// decision was due, plus the fresh-flow ids it was computed for.
-    /// Valid while the flow set, the known/fresh split, *and the link
-    /// capacities* are unchanged (`priority_fill`/`waterfill` depend on
-    /// routes and capacities, not on remaining bytes, so the naive
-    /// recompute would reproduce it). Capacity changes arrive as faults:
-    /// [`Self::on_fault`] drops the cache — before that hook existed the
-    /// cache was keyed only on the flow set and silently served pre-fault
-    /// rates after a link degradation (the stale-cache defect the fault
-    /// differential suite was built to expose).
-    cached_between: Option<(RateAlloc, Vec<FlowId>)>,
+    /// decision was due (`between_rates`, indexed like that call's flow
+    /// slice), plus the fresh-flow ids it was computed for. Valid while
+    /// the flow set, the known/fresh split, *and the link capacities* are
+    /// unchanged (`priority_fill`/`waterfill` depend on routes and
+    /// capacities, not on remaining bytes, so the naive recompute would
+    /// reproduce it). Capacity changes arrive as faults, and
+    /// [`Self::on_fault`] drops the cache on every one.
+    between_valid: bool,
+    /// See `between_valid`.
+    between_rates: Vec<f64>,
+    /// See `between_valid`.
+    between_fresh: Vec<FlowId>,
+    /// Fresh (not yet known) flow ids of the current call, ascending.
+    fresh: Vec<FlowId>,
+    /// Priority order enforced between decisions: `cached_order` followed
+    /// by the known flows missing from it.
+    order: Vec<FlowId>,
+    /// Engine or priority-fill rates over the known subset when some
+    /// flows are still fresh (indexed like the known slice).
+    known_rates: Vec<f64>,
+    /// Index permutation sorting a decision's rates into `cached_order`.
+    rank: Vec<usize>,
+    /// Sorted copy of a delta's arrivals for membership lookups.
+    arrived: Vec<FlowId>,
     /// True between [`FaultKind::CoordinatorDown`] and
     /// [`FaultKind::CoordinatorUp`]: no decisions are computed and every
     /// flow gets plain fair-share bandwidth (the agents' local fallback —
@@ -295,27 +335,32 @@ impl CoordinatedPolicy {
         }
     }
 
-    fn decision_due(&self, now: SimTime, active_groups: &[EchelonId]) -> bool {
+    /// Whether the heuristic must run now, given the current call's
+    /// active EchelonFlow set in `self.groups`.
+    fn decision_due(&self, now: SimTime) -> bool {
         if self.last_decision.is_none() {
             return true;
         }
         match self.config.trigger {
             Trigger::PerEvent => true,
-            Trigger::PerGroupChange => self.last_groups != active_groups,
+            Trigger::PerGroupChange => self.last_groups != self.groups,
             Trigger::Interval(dt) => now.secs() - self.last_decision.unwrap().secs() + 1e-12 >= dt,
         }
     }
 
-    /// The distinct EchelonFlows with at least one active flow, in id
-    /// order (solo flows are ignored — they come and go constantly).
-    fn active_groups(&self, flows: &[ActiveFlowView]) -> Vec<EchelonId> {
-        let mut groups: Vec<EchelonId> = flows
-            .iter()
-            .filter_map(|v| self.engine.book().echelon_of(v.id).map(|h| h.id()))
-            .collect();
-        groups.sort();
-        groups.dedup();
-        groups
+    /// Collects the distinct EchelonFlows with at least one active flow
+    /// into `self.groups`, in id order (solo flows are ignored — they
+    /// come and go constantly).
+    fn scan_active_groups(&mut self, flows: &[ActiveFlowView]) {
+        let book = self.engine.book();
+        self.groups.clear();
+        self.groups.extend(
+            flows
+                .iter()
+                .filter_map(|v| book.echelon_of(v.id).map(|h| h.id())),
+        );
+        self.groups.sort();
+        self.groups.dedup();
     }
 
     /// Maintains `group_counts` from the event delta (full scan on the
@@ -340,8 +385,11 @@ impl CoordinatedPolicy {
                 *self.group_counts.entry(h.id()).or_insert(0) += 1;
             }
         }
+        self.arrived.clear();
+        self.arrived.extend_from_slice(&delta.arrived);
+        self.arrived.sort_unstable();
         for &id in &delta.departed {
-            if delta.arrived.contains(&id) {
+            if self.arrived.binary_search(&id).is_ok() {
                 // Arrived and departed within this same delta: the arrival
                 // loop above never counted it (it is absent from `flows`),
                 // so decrementing here would steal a count from a flow
@@ -360,100 +408,194 @@ impl CoordinatedPolicy {
         }
     }
 
-    /// Shared decision-due bookkeeping: runs the engine, caches the
-    /// implied priority order, and extends to fresh flows via backfill.
-    #[allow(clippy::too_many_arguments)]
+    /// Records a decision the engine just made over `known` (`rates[i]`
+    /// for `known[i]`) and caches the implied priority order: flows
+    /// sorted by allocated rate, higher first, ties by id —
+    /// approximating the engine's serve order for reuse between
+    /// decisions.
+    fn record_decision(&mut self, now: SimTime, known: &[ActiveFlowView], rates: &[f64]) {
+        self.last_decision = Some(now);
+        std::mem::swap(&mut self.last_groups, &mut self.groups);
+        self.decisions_computed += 1;
+        self.between_valid = false;
+        // `known` is id-sorted, so index order is id order.
+        self.rank.clear();
+        self.rank.extend(0..known.len());
+        self.rank
+            .sort_unstable_by(|&a, &b| rates[b].total_cmp(&rates[a]).then(a.cmp(&b)));
+        self.cached_order.clear();
+        self.cached_order
+            .extend(self.rank.iter().map(|&i| known[i].id));
+        self.cached_ids.clear();
+        self.cached_ids.extend(known.iter().map(|v| v.id));
+    }
+
+    /// Full heuristic run on the known flows; fresh flows then share the
+    /// leftover bandwidth.
     fn decide(
         &mut self,
         now: SimTime,
         flows: &[ActiveFlowView],
         known: &[ActiveFlowView],
-        fresh_empty: bool,
-        groups: Vec<EchelonId>,
-        rates: RateAlloc,
         topo: &Topology,
-    ) -> RateAlloc {
-        self.last_decision = Some(now);
-        self.last_groups = groups;
-        self.decisions_computed += 1;
-        self.cached_between = None;
-        // Cache the order: flows sorted by allocated rate share of
-        // their bottleneck — higher rate first — approximating the
-        // engine's serve order for reuse between decisions.
-        let mut order: Vec<FlowId> = known.iter().map(|v| v.id).collect();
-        order.sort_by(|a, b| {
-            let ra = rates.get(a).copied().unwrap_or(0.0);
-            let rb = rates.get(b).copied().unwrap_or(0.0);
-            rb.total_cmp(&ra).then(a.cmp(b))
-        });
-        self.cached_order = order;
-        if fresh_empty {
-            return rates;
+        ws: &mut AllocScratch,
+        out: &mut Vec<f64>,
+    ) {
+        if known.len() == flows.len() {
+            self.engine.allocate_dense(now, flows, topo, ws, out);
+            self.record_decision(now, flows, out);
+            return;
         }
-        // Fresh flows: leftover bandwidth only.
-        waterfill(
-            topo,
-            flows,
-            &BTreeMap::new(),
-            &BTreeMap::new(),
-            Some(&rates),
-        )
+        let mut rates = std::mem::take(&mut self.known_rates);
+        self.engine.allocate_dense(now, known, topo, ws, &mut rates);
+        self.record_decision(now, known, &rates);
+        backfill_fresh(flows, known, &rates, topo, ws, out);
+        self.known_rates = rates;
     }
 
-    /// Control-latency split: stamps first-seen times and partitions the
-    /// active flows into (known to the coordinator, still in flight to
-    /// it). Flows are known once they have aged past the round-trip.
-    fn split_known(
+    /// Enforces the cached order on `known` via priority filling into
+    /// `rates` (indexed like `known`): the cached order first, then the
+    /// known flows missing from it in id order.
+    fn enforce_cached_order(
         &mut self,
-        now: SimTime,
-        flows: &[ActiveFlowView],
-    ) -> (Vec<ActiveFlowView>, Vec<ActiveFlowView>) {
-        for v in flows {
-            self.first_seen.entry(v.id).or_insert(now);
+        known: &[ActiveFlowView],
+        topo: &Topology,
+        ws: &mut AllocScratch,
+        rates: &mut Vec<f64>,
+    ) {
+        self.order.clear();
+        self.order.extend_from_slice(&self.cached_order);
+        // Both `known` and `cached_ids` ascend: one merge walk finds the
+        // known flows the cached order lacks, in id order.
+        let mut j = 0;
+        for v in known {
+            while j < self.cached_ids.len() && self.cached_ids[j] < v.id {
+                j += 1;
+            }
+            if self.cached_ids.get(j) != Some(&v.id) {
+                self.order.push(v.id);
+            }
         }
-        flows.iter().cloned().partition(|v| {
-            now.secs() - self.first_seen[&v.id].secs() + 1e-12 >= self.config.control_latency
-        })
+        rates.clear();
+        rates.resize(known.len(), 0.0);
+        priority_fill_dense(topo, known, &self.order, None, rates, ws);
     }
 
-    /// Shared between-decisions path: enforce the cached order via
-    /// priority filling; unknown flows queue after it in id order.
+    /// Between-decisions path: enforce the cached order on the known
+    /// flows; fresh flows share the leftover bandwidth.
     fn between_decisions(
         &mut self,
         flows: &[ActiveFlowView],
         known: &[ActiveFlowView],
-        fresh_empty: bool,
         topo: &Topology,
-    ) -> RateAlloc {
-        let mut order = self.cached_order.clone();
-        for v in known {
-            if !order.contains(&v.id) {
-                order.push(v.id);
-            }
+        ws: &mut AllocScratch,
+        out: &mut Vec<f64>,
+    ) {
+        if known.len() == flows.len() {
+            self.enforce_cached_order(flows, topo, ws, out);
+            return;
         }
-        let rates = priority_fill(topo, known, &order, &BTreeMap::new());
-        if fresh_empty && known.len() == flows.len() {
-            return rates;
-        }
-        waterfill(
-            topo,
-            flows,
-            &BTreeMap::new(),
-            &BTreeMap::new(),
-            Some(&rates),
-        )
+        let mut rates = std::mem::take(&mut self.known_rates);
+        self.enforce_cached_order(known, topo, ws, &mut rates);
+        backfill_fresh(flows, known, &rates, topo, ws, out);
+        self.known_rates = rates;
     }
 
-    /// The outage allocation: plain fair-share waterfill over every
-    /// active flow, ignoring the cached decision entirely. Used by both
-    /// the full and incremental paths so they stay bit-identical.
-    fn fair_share(&self, flows: &[ActiveFlowView], topo: &Topology) -> RateAlloc {
-        waterfill(topo, flows, &BTreeMap::new(), &BTreeMap::new(), None)
+    /// Control-latency split: stamps first-seen times, records the fresh
+    /// ids (still in flight to the coordinator) in `self.fresh`, and
+    /// returns the known flows — those aged past the round-trip.
+    fn split_known(&mut self, now: SimTime, flows: &[ActiveFlowView]) -> Vec<ActiveFlowView> {
+        self.fresh.clear();
+        let mut known = Vec::with_capacity(flows.len());
+        for v in flows {
+            let seen = *self.first_seen.entry(v.id).or_insert(now);
+            if now.secs() - seen.secs() + 1e-12 >= self.config.control_latency {
+                known.push(v.clone());
+            } else {
+                self.fresh.push(v.id);
+            }
+        }
+        known
     }
+
+    /// Serves the cached between-decisions allocation if it still holds
+    /// (same flow set, same fresh set, no fault since); otherwise
+    /// recomputes and caches it.
+    #[allow(clippy::too_many_arguments)]
+    fn between_cached(
+        &mut self,
+        flows: &[ActiveFlowView],
+        known: &[ActiveFlowView],
+        delta: &FlowDelta,
+        topo: &Topology,
+        ws: &mut AllocScratch,
+        out: &mut Vec<f64>,
+    ) {
+        if delta.is_empty() && self.between_valid && self.between_fresh == self.fresh {
+            out.clone_from(&self.between_rates);
+            return;
+        }
+        self.between_decisions(flows, known, topo, ws, out);
+        self.between_rates.clone_from(out);
+        self.between_fresh.clone_from(&self.fresh);
+        self.between_valid = true;
+    }
+}
+
+/// Scatters the known flows' `rates` into `out` (indexed like `flows`,
+/// fresh flows at zero) and backfills the fresh flows max-min on top.
+fn backfill_fresh(
+    flows: &[ActiveFlowView],
+    known: &[ActiveFlowView],
+    rates: &[f64],
+    topo: &Topology,
+    ws: &mut AllocScratch,
+    out: &mut Vec<f64>,
+) {
+    out.clear();
+    out.resize(flows.len(), 0.0);
+    // `known` is an id-sorted subsequence of the id-sorted `flows`.
+    let mut i = 0;
+    for (v, &r) in known.iter().zip(rates) {
+        while flows[i].id != v.id {
+            i += 1;
+        }
+        out[i] = r;
+    }
+    waterfill_dense(topo, flows, None, None, out, ws);
+}
+
+/// The outage allocation: plain fair-share waterfill over every active
+/// flow, ignoring the cached decision entirely.
+fn fair_share(
+    flows: &[ActiveFlowView],
+    topo: &Topology,
+    ws: &mut AllocScratch,
+    out: &mut Vec<f64>,
+) {
+    out.clear();
+    out.resize(flows.len(), 0.0);
+    waterfill_dense(topo, flows, None, None, out, ws);
 }
 
 impl RatePolicy for CoordinatedPolicy {
     fn allocate(&mut self, now: SimTime, flows: &[ActiveFlowView], topo: &Topology) -> RateAlloc {
+        let mut ws = AllocScratch::new();
+        let mut out = Vec::new();
+        self.allocate_dense(now, flows, topo, &mut ws, &mut out);
+        dense_to_alloc(flows, &out)
+    }
+
+    /// The naive full recompute — the reference the incremental path is
+    /// pinned against.
+    fn allocate_dense(
+        &mut self,
+        now: SimTime,
+        flows: &[ActiveFlowView],
+        topo: &Topology,
+        ws: &mut AllocScratch,
+        out: &mut Vec<f64>,
+    ) {
         // Queued live registrations land before the observation pass so
         // a head flow releasing this very event still binds its group's
         // reference.
@@ -472,18 +614,23 @@ impl RatePolicy for CoordinatedPolicy {
             // decision; agents fall back to fair sharing. Flows arriving
             // during the outage are first seen (for control-latency
             // aging) once the coordinator is back.
-            return self.fair_share(flows, topo);
+            return fair_share(flows, topo, ws, out);
         }
-        let (known, fresh) = self.split_known(now, flows);
-
-        let groups = self.active_groups(flows);
-        if self.decision_due(now, &groups) {
+        // Without control latency every flow is known at once.
+        let split;
+        let known = if self.config.control_latency <= 0.0 {
+            flows
+        } else {
+            split = self.split_known(now, flows);
+            &split
+        };
+        self.scan_active_groups(flows);
+        if self.decision_due(now) {
             // Full heuristic run: rates for known flows, and the implied
             // global priority order becomes the cached decision.
-            let rates = self.engine.allocate(now, &known, topo);
-            return self.decide(now, flows, &known, fresh.is_empty(), groups, rates, topo);
+            return self.decide(now, flows, known, topo, ws, out);
         }
-        self.between_decisions(flows, &known, fresh.is_empty(), topo)
+        self.between_decisions(flows, known, topo, ws, out);
     }
 
     fn allocate_incremental(
@@ -493,9 +640,25 @@ impl RatePolicy for CoordinatedPolicy {
         delta: &FlowDelta,
         topo: &Topology,
     ) -> RateAlloc {
+        let mut ws = AllocScratch::new();
+        let mut out = Vec::new();
+        self.allocate_dense_incremental(now, flows, delta, topo, &mut ws, &mut out);
+        dense_to_alloc(flows, &out)
+    }
+
+    fn allocate_dense_incremental(
+        &mut self,
+        now: SimTime,
+        flows: &[ActiveFlowView],
+        delta: &FlowDelta,
+        topo: &Topology,
+        ws: &mut AllocScratch,
+        out: &mut Vec<f64>,
+    ) {
         self.flush_pending();
         self.update_group_counts(flows, delta);
-        let groups: Vec<EchelonId> = self.group_counts.keys().copied().collect();
+        self.groups.clear();
+        self.groups.extend(self.group_counts.keys().copied());
 
         if self.config.control_latency <= 0.0 {
             // Every flow is immediately known, so the known set is exactly
@@ -507,52 +670,36 @@ impl RatePolicy for CoordinatedPolicy {
             // coordinator returns).
             self.engine.apply_delta(now, flows, delta);
             if self.outage {
-                return self.fair_share(flows, topo);
+                return fair_share(flows, topo, ws, out);
             }
-            if self.decision_due(now, &groups) {
-                let rates = self.engine.allocate_cached(now, flows, topo);
-                return self.decide(now, flows, flows, true, groups, rates, topo);
+            if self.decision_due(now) {
+                self.engine.allocate_cached_dense(now, flows, topo, ws, out);
+                return self.record_decision(now, flows, out);
             }
             // Between decisions with an unchanged flow set, the cached
             // allocation is exactly what the naive path would recompute.
-            if delta.is_empty() {
-                if let Some((rates, ids)) = &self.cached_between {
-                    if ids.is_empty() {
-                        return rates.clone();
-                    }
-                }
-            }
-            let rates = self.between_decisions(flows, flows, true, topo);
-            self.cached_between = Some((rates.clone(), Vec::new()));
-            return rates;
+            return self.between_cached(flows, flows, delta, topo, ws, out);
         }
 
         // With control latency the known set changes as flows age in ways
         // a flow delta does not capture, so the engine runs its full path
         // on the known subset; group counting and the between-decisions
-        // cache still apply. Observe the *whole* slice first (fresh flows
-        // included) so reference binding matches the naive path, which
-        // observes every event.
+        // cache still apply. Departed flows never come back, so their
+        // aging stamps go (keeping `first_seen` O(live)). Observe the
+        // *whole* slice first (fresh flows included) so reference binding
+        // matches the naive path, which observes every event.
+        for id in &delta.departed {
+            self.first_seen.remove(id);
+        }
         self.engine.observe(now, flows);
         if self.outage {
-            return self.fair_share(flows, topo);
+            return fair_share(flows, topo, ws, out);
         }
-        let (known, fresh) = self.split_known(now, flows);
-        if self.decision_due(now, &groups) {
-            let rates = self.engine.allocate(now, &known, topo);
-            return self.decide(now, flows, &known, fresh.is_empty(), groups, rates, topo);
+        let known = self.split_known(now, flows);
+        if self.decision_due(now) {
+            return self.decide(now, flows, &known, topo, ws, out);
         }
-        let fresh_ids: Vec<FlowId> = fresh.iter().map(|v| v.id).collect();
-        if delta.is_empty() {
-            if let Some((rates, ids)) = &self.cached_between {
-                if *ids == fresh_ids {
-                    return rates.clone();
-                }
-            }
-        }
-        let rates = self.between_decisions(flows, &known, fresh.is_empty(), topo);
-        self.cached_between = Some((rates.clone(), fresh_ids));
-        rates
+        self.between_cached(flows, &known, delta, topo, ws, out);
     }
 
     /// Between decisions the coordinator serves a *frozen* priority order
@@ -563,21 +710,20 @@ impl RatePolicy for CoordinatedPolicy {
     fn on_fault(&mut self, _now: SimTime, fault: &FaultKind) {
         match fault {
             FaultKind::LinkDown(_) | FaultKind::LinkRestore(_) | FaultKind::LinkDegrade(..) => {
-                // `cached_between` was computed against pre-fault
-                // capacities; priority_fill/waterfill results change with
-                // them. Without this invalidation the incremental path
-                // kept serving stale (possibly now-infeasible) rates
-                // after capacity churn while the naive path recomputed —
-                // the pre-existing stale-cache defect this PR fixes.
-                self.cached_between = None;
+                // The between-decisions cache was computed against
+                // pre-fault capacities, and priority_fill/waterfill
+                // results change with them: serving it would return
+                // stale, possibly infeasible rates where the naive path
+                // recomputes.
+                self.between_valid = false;
             }
             FaultKind::CoordinatorDown => {
                 self.outage = true;
-                self.cached_between = None;
+                self.between_valid = false;
             }
             FaultKind::CoordinatorUp => {
                 self.outage = false;
-                self.cached_between = None;
+                self.between_valid = false;
                 // The recovered coordinator has no trustworthy decision:
                 // force a fresh one at the next allocation, whatever the
                 // trigger.
@@ -635,6 +781,8 @@ mod tests {
     use echelon_paradigms::ids::IdAlloc;
     use echelon_paradigms::pp::build_pp_gpipe;
     use echelon_paradigms::runtime::run_job;
+    use echelon_simnet::alloc::waterfill;
+    use echelon_simnet::ids::NodeId;
 
     fn fig2_dag() -> echelon_paradigms::dag::JobDag {
         let mut alloc = IdAlloc::new();
@@ -799,6 +947,158 @@ mod tests {
                 cfg
             );
             assert_eq!(naive.decisions_computed(), inc.decisions_computed());
+        }
+    }
+
+    /// Wraps the policy and audits `first_seen` after every incremental
+    /// allocation.
+    struct AgingAudit {
+        inner: CoordinatedPolicy,
+        audits: usize,
+        peak: usize,
+    }
+
+    impl RatePolicy for AgingAudit {
+        fn allocate(
+            &mut self,
+            now: SimTime,
+            flows: &[ActiveFlowView],
+            topo: &Topology,
+        ) -> RateAlloc {
+            self.inner.allocate(now, flows, topo)
+        }
+
+        fn allocate_dense_incremental(
+            &mut self,
+            now: SimTime,
+            flows: &[ActiveFlowView],
+            delta: &FlowDelta,
+            topo: &Topology,
+            ws: &mut AllocScratch,
+            out: &mut Vec<f64>,
+        ) {
+            self.inner
+                .allocate_dense_incremental(now, flows, delta, topo, ws, out);
+            let stamps = self.inner.first_seen.len();
+            assert!(
+                stamps <= flows.len() + delta.arrived.len(),
+                "{stamps} aging stamps for {} active flows and {} arrivals",
+                flows.len(),
+                delta.arrived.len()
+            );
+            self.audits += 1;
+            self.peak = self.peak.max(stamps);
+        }
+
+        fn on_fault(&mut self, now: SimTime, fault: &FaultKind) {
+            self.inner.on_fault(now, fault);
+        }
+
+        fn horizon(
+            &self,
+            now: SimTime,
+            flows: &[ActiveFlowView],
+            rates: &[f64],
+        ) -> echelon_simnet::runner::AllocHorizon {
+            self.inner.horizon(now, flows, rates)
+        }
+
+        fn name(&self) -> &'static str {
+            "aging-audit"
+        }
+    }
+
+    /// With control latency, the incremental path drops a flow's aging
+    /// stamp when it departs, so `first_seen` tracks the live flows and
+    /// never grows with the run's history.
+    #[test]
+    fn first_seen_holds_live_flows_only() {
+        use echelon_paradigms::runtime::run_job_with;
+        use echelon_simnet::runner::RecomputeMode;
+
+        let mut alloc = IdAlloc::new();
+        let cfg = PpConfig {
+            iterations: 4,
+            ..PpConfig::fig2()
+        };
+        let dag = build_pp_gpipe(JobId(0), &cfg, &mut alloc);
+        let topo = Topology::chain(2, 1.0);
+        for trigger in [Trigger::PerEvent, Trigger::Interval(3.0)] {
+            let policy = policy_with(
+                CoordinatorConfig {
+                    trigger,
+                    control_latency: 0.5,
+                    ..CoordinatorConfig::default()
+                },
+                &dag,
+            );
+            let mut audit = AgingAudit {
+                inner: policy,
+                audits: 0,
+                peak: 0,
+            };
+            let run = run_job_with(&topo, &dag, &mut audit, RecomputeMode::Incremental);
+            let flows = dag.echelons.iter().flat_map(|e| e.flows()).count();
+            assert!(run.makespan.secs() > 0.0);
+            assert!(audit.audits > 10, "only {} audited calls", audit.audits);
+            assert!(
+                audit.peak < flows,
+                "peak {} stamps for {flows} flows in the run",
+                audit.peak
+            );
+            assert!(audit.inner.first_seen.len() <= 1, "stamps outlived the run");
+        }
+    }
+
+    /// The between-decisions order is the cached order followed by the
+    /// known flows it lacks, in id order — the same order a per-flow
+    /// `contains` scan pushes.
+    #[test]
+    fn enforced_order_appends_unseen_flows_in_id_order() {
+        let dag = fig2_dag();
+        let topo = Topology::big_switch_uniform(8, 1.0);
+        let mut policy = policy_with(CoordinatorConfig::default(), &dag);
+        let mut rng = echelon_detrand::DetRng::seed_from_u64(0x0DE2);
+        let mut ws = AllocScratch::new();
+        let mut rates = Vec::new();
+        for _ in 0..50 {
+            let n = rng.usize_range_inclusive(1, 24);
+            let ids: Vec<u64> = (0..n as u64).filter(|_| rng.next_f64() < 0.7).collect();
+            let known: Vec<ActiveFlowView> = ids
+                .into_iter()
+                .map(|i| {
+                    let src = rng.usize_range_inclusive(0, 7) as u32;
+                    let dst = (src + 1 + rng.usize_range_inclusive(0, 6) as u32) % 8;
+                    ActiveFlowView {
+                        id: FlowId(i),
+                        src: NodeId(src),
+                        dst: NodeId(dst),
+                        size: 1.0,
+                        remaining: 1.0,
+                        release: SimTime::ZERO,
+                        route: topo.route(NodeId(src), NodeId(dst)),
+                        slot: i as u32,
+                    }
+                })
+                .collect();
+            // A decision over a random subset of ids, in a random order.
+            let mut cached: Vec<FlowId> = (0..n as u64)
+                .filter(|_| rng.next_f64() < 0.5)
+                .map(FlowId)
+                .collect();
+            policy.cached_ids = cached.clone();
+            rng.shuffle(&mut cached);
+            policy.cached_order = cached.clone();
+
+            let mut want = cached;
+            for v in &known {
+                if !want.contains(&v.id) {
+                    want.push(v.id);
+                }
+            }
+            policy.enforce_cached_order(&known, &topo, &mut ws, &mut rates);
+            assert_eq!(policy.order, want);
+            assert_eq!(rates.len(), known.len());
         }
     }
 

@@ -29,7 +29,9 @@ use crate::scratch::GroupCsr;
 use crate::sincronia::{bssi_order, GroupLoad};
 use echelon_core::echelon::EchelonFlow;
 use echelon_core::EchelonId;
-use echelon_simnet::alloc::{dense_to_alloc, waterfill_dense, AllocScratch, RateAlloc};
+use echelon_simnet::alloc::{
+    dense_to_alloc, seed_route_capacities, waterfill_dense, AllocScratch, RateAlloc,
+};
 use echelon_simnet::flow::ActiveFlowView;
 use echelon_simnet::fluid::FlowDelta;
 use echelon_simnet::ids::FlowId;
@@ -787,7 +789,9 @@ impl EchelonMadd {
         rates: &mut Vec<f64>,
     ) {
         debug_assert!(flows.windows(2).all(|w| w[0].id < w[1].id));
-        topo.capacities_into(&mut sc.residual);
+        // Serving reads and writes residuals only on member routes, so
+        // seeding those links is exact (the route-link seeding invariant).
+        seed_route_capacities(topo, flows, &mut sc.residual);
         rates.clear();
         rates.resize(flows.len(), 0.0);
 
@@ -1220,6 +1224,88 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The cached path seeds residuals on the live route links only, so a
+    /// `GroupCsr` and an `AllocScratch` full of NaN — left by a call on a
+    /// larger fabric with another flow set — must not change a bit
+    /// against the naive path, whose serving pass seeds every resource
+    /// from fresh buffers. Covers every topology model, both intra modes,
+    /// and a capacity degrade and restore (seeding must read the
+    /// *current* capacity).
+    #[test]
+    fn cached_path_ignores_stale_scratch() {
+        use echelon_detrand::DetRng;
+        use echelon_simnet::fattree::FatTree;
+        // (fabric, its hosts, most flows per trial): few flows seed their
+        // route links one by one, many copy the whole capacity table.
+        let fabrics = [
+            (Topology::big_switch_uniform(64, 1.5), 64, 24),
+            (FatTree::new(8).build_fabric(), FatTree::new(8).hosts(), 40),
+            (Topology::dumbbell(20, 20, 2.0, 1.0), 40, 20),
+        ];
+        let large = Topology::big_switch_uniform(512, 0.25);
+        let mut rng = DetRng::seed_from_u64(0xCA5E_D5EE);
+        let view = |rng: &mut DetRng, topo: &Topology, hosts: usize, id: u64| {
+            let src = rng.usize_range_inclusive(0, hosts - 1);
+            let mut dst = rng.usize_range_inclusive(0, hosts - 2);
+            if dst >= src {
+                dst += 1;
+            }
+            let size = rng.f64_range(0.5, 4.0);
+            ActiveFlowView {
+                id: FlowId(id),
+                src: NodeId(src as u32),
+                dst: NodeId(dst as u32),
+                size,
+                remaining: size * rng.f64_range(0.1, 1.0),
+                release: SimTime::new(rng.f64_range(0.0, 2.0)),
+                route: topo.route(NodeId(src as u32), NodeId(dst as u32)),
+                slot: id as u32,
+            }
+        };
+        let mut compared = 0;
+        for (mut topo, hosts, most) in fabrics {
+            for intra in [IntraMode::FinishEarly, IntraMode::Equalize] {
+                let mut cached = EchelonMadd::new(Vec::new()).with_intra(intra);
+                let mut ws = AllocScratch::new();
+                let big: Vec<ActiveFlowView> = (0..128)
+                    .map(|i| view(&mut rng, &large, 64, 1000 + i))
+                    .collect();
+                let mut nan = vec![f64::NAN; big.len()];
+                waterfill_dense(&large, &big, None, None, &mut nan, &mut ws);
+                let probe = topo.route(NodeId(0), NodeId(1))[0];
+                let original = topo.capacity(probe);
+                for phase in 0..3 {
+                    match phase {
+                        1 => topo.set_capacity(probe, original * 0.1),
+                        2 => topo.set_capacity(probe, original),
+                        _ => {}
+                    }
+                    for _ in 0..15 {
+                        cached.scratch.residual = vec![f64::NAN; large.num_resources()];
+                        // Fresh ids per trial: the member cache keys on ids
+                        // and slots, so reused ids would need a delta.
+                        let n = rng.usize_range_inclusive(1, most) as u64;
+                        let base = 100 * compared as u64;
+                        let flows: Vec<ActiveFlowView> = (base..base + n)
+                            .map(|i| view(&mut rng, &topo, hosts, i))
+                            .collect();
+                        let now = SimTime::new(2.0);
+                        let mut got = Vec::new();
+                        cached.allocate_cached_dense(now, &flows, &topo, &mut ws, &mut got);
+                        let want = EchelonMadd::new(Vec::new())
+                            .with_intra(intra)
+                            .allocate(now, &flows, &topo);
+                        for (v, r) in flows.iter().zip(&got) {
+                            assert_eq!(r.to_bits(), want[&v.id].to_bits(), "{intra:?} {}", v.id);
+                        }
+                        compared += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(compared, 3 * 2 * 3 * 15);
     }
 
     #[test]

@@ -48,7 +48,8 @@ pub(crate) struct GroupCsr {
     /// valid for the group currently being served (written just before
     /// its stages are).
     pub caps: Vec<f64>,
-    /// Per-resource residual capacity during serving.
+    /// Per-resource residual capacity during serving, seeded only on the
+    /// active flows' route links; other entries are stale and never read.
     pub residual: Vec<f64>,
 }
 

@@ -7,8 +7,8 @@
 //!
 //! - **scan** — the naive [`RatePolicy::allocate_dense`]: regroup all
 //!   flows and rebuild every transient map from scratch;
-//! - **indexed** — the warmed `allocate_cached_dense`: the link-indexed
-//!   cache is consistent, so the event runs entirely out of the flat
+//! - **indexed** — the warmed `allocate_cached_dense`: the member cache
+//!   is consistent, so the event runs entirely out of the flat
 //!   CSR/`LinkLoad` workspaces with no per-event heap allocation. Varys
 //!   reaches the same engine through `allocate_dense_incremental` with an
 //!   empty delta (its incremental path is `EchelonMadd` over the Coflow
@@ -97,7 +97,7 @@ fn bench_policy<P: RatePolicy>(
     let mut indexed = Vec::new();
 
     // One un-timed round to verify the contract and warm the cache: the
-    // first cached call rebuilds the link index, so the timed iterations
+    // first cached call rebuilds the member cache, so the timed iterations
     // below measure the steady-state indexed event.
     policy.allocate_dense(now, views, topo, &mut ws, &mut scan);
     cached(policy, now, views, topo, &mut ws, &mut indexed);

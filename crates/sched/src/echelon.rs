@@ -35,7 +35,7 @@ use echelon_simnet::alloc::{
 use echelon_simnet::flow::ActiveFlowView;
 use echelon_simnet::fluid::FlowDelta;
 use echelon_simnet::ids::FlowId;
-use echelon_simnet::linkindex::{LinkIndex, LinkLoad};
+use echelon_simnet::linkindex::LinkLoad;
 use echelon_simnet::runner::RatePolicy;
 use echelon_simnet::time::{SimTime, EPS};
 use echelon_simnet::topology::Topology;
@@ -126,13 +126,10 @@ pub struct EchelonMadd {
     // reference is bound, so these orderings survive across events; only
     // groups whose flows arrived or departed need touching. Maintained by
     // `apply_delta`, consumed by `allocate_cached`; the naive `allocate`
-    // path neither reads nor writes it.
+    // path neither reads nor writes it. `build_csr` checks it against the
+    // active set on every use, and the conservative fallback rebuilds it
+    // when that check fails (see DESIGN.md §8).
     cached_members: BTreeMap<GroupKey, Vec<(SimTime, FlowId)>>,
-    // Link↔flow adjacency maintained in lockstep with `cached_members`
-    // from the same deltas. Its O(F) consistency check guards both; when
-    // it fails, the conservative fallback rebuilds everything from the
-    // flow table (see DESIGN.md §8).
-    links: LinkIndex,
     // Reusable flat group structure + per-link accumulator for the
     // cached allocation path: steady-state events allocate nothing.
     scratch: GroupCsr,
@@ -150,7 +147,6 @@ impl EchelonMadd {
             intra: IntraMode::FinishEarly,
             backfill: true,
             cached_members: BTreeMap::new(),
-            links: LinkIndex::default(),
             scratch: GroupCsr::default(),
             load: LinkLoad::new(),
         }
@@ -514,22 +510,11 @@ impl EchelonMadd {
                 }
             }
         }
-        // The link index receives exactly the same delta stream, so one
-        // O(F) consistency check covers both caches.
-        self.links.apply_delta(flows, delta);
     }
 
-    /// True when the cache covers exactly the given active set. Checked
-    /// through the link index (updated in lockstep with `cached_members`
-    /// from the same deltas): an O(F) id-set walk instead of a per-flow
-    /// binary-search sweep.
-    fn cache_consistent(&self, flows: &[ActiveFlowView]) -> bool {
-        self.links.consistent(flows)
-    }
-
-    /// Re-derives the cache (and the link index) from scratch — the
-    /// conservative fallback when a delta was missed. Identical grouping
-    /// and ordering to the naive path.
+    /// Re-derives the cache from scratch — the conservative fallback
+    /// when a delta was missed. Identical grouping and ordering to the
+    /// naive path.
     fn rebuild_cache(&mut self, now: SimTime, flows: &[ActiveFlowView]) {
         self.book.observe(now, flows);
         self.cached_members.clear();
@@ -544,7 +529,6 @@ impl EchelonMadd {
         for list in self.cached_members.values_mut() {
             list.sort_unstable();
         }
-        self.links.rebuild(flows);
     }
 
     /// [`projected_tardiness`] over CSR member slices, accumulating into
@@ -878,12 +862,13 @@ impl EchelonMadd {
         out: &mut Vec<f64>,
     ) {
         debug_assert!(flows.windows(2).all(|w| w[0].id < w[1].id));
-        if !self.cache_consistent(flows) {
-            self.rebuild_cache(now, flows);
-        }
         let mut sc = std::mem::take(&mut self.scratch);
         let mut load = std::mem::take(&mut self.load);
-        self.build_csr(flows, &mut sc);
+        if !self.build_csr(flows, &mut sc) {
+            self.rebuild_cache(now, flows);
+            let rebuilt = self.build_csr(flows, &mut sc);
+            assert!(rebuilt, "a rebuilt member cache covers the flow table");
+        }
         self.order_groups(now, flows, topo, &mut sc, &mut load);
         self.serve_csr(now, flows, topo, ws, &mut sc, &mut load, out);
         self.scratch = sc;
@@ -894,19 +879,31 @@ impl EchelonMadd {
     /// each member's position in the id-sorted flow slice once. Groups
     /// land in ascending key order (the member cache's `BTreeMap`
     /// iteration order), members in their cached EDD order.
-    fn build_csr(&self, flows: &[ActiveFlowView], sc: &mut GroupCsr) {
+    ///
+    /// Returns `false` when the cache is stale: a cached member is not
+    /// active, two members resolve to the same position, or the member
+    /// count differs from `flows.len()`. Otherwise the members map
+    /// injectively onto a set of equal size — a bijection — so the cache
+    /// covers exactly the active set, whatever deltas were missed.
+    fn build_csr(&self, flows: &[ActiveFlowView], sc: &mut GroupCsr) -> bool {
         sc.clear_groups();
+        sc.claimed.clear();
+        sc.claimed.resize(flows.len(), false);
         for (k, list) in &self.cached_members {
             sc.keys.push(*k);
             for &(deadline, id) in list {
-                let idx = flows
-                    .binary_search_by(|v| v.id.cmp(&id))
-                    .expect("cached flow is active");
+                let Ok(idx) = flows.binary_search_by(|v| v.id.cmp(&id)) else {
+                    return false;
+                };
+                if std::mem::replace(&mut sc.claimed[idx], true) {
+                    return false;
+                }
                 sc.pos.push(idx);
                 sc.deadline.push(deadline);
             }
             sc.starts.push(sc.pos.len());
         }
+        sc.pos.len() == flows.len()
     }
 }
 
@@ -1237,8 +1234,7 @@ mod tests {
     fn cached_path_ignores_stale_scratch() {
         use echelon_detrand::DetRng;
         use echelon_simnet::fattree::FatTree;
-        // (fabric, its hosts, most flows per trial): few flows seed their
-        // route links one by one, many copy the whole capacity table.
+        // (fabric, its hosts, most flows per trial).
         let fabrics = [
             (Topology::big_switch_uniform(64, 1.5), 64, 24),
             (FatTree::new(8).build_fabric(), FatTree::new(8).hosts(), 40),
@@ -1284,8 +1280,8 @@ mod tests {
                     }
                     for _ in 0..15 {
                         cached.scratch.residual = vec![f64::NAN; large.num_resources()];
-                        // Fresh ids per trial: the member cache keys on ids
-                        // and slots, so reused ids would need a delta.
+                        // Fresh ids per trial: the member cache keys on ids,
+                        // so reused ids would need a delta.
                         let n = rng.usize_range_inclusive(1, most) as u64;
                         let base = 100 * compared as u64;
                         let flows: Vec<ActiveFlowView> = (base..base + n)
@@ -1306,6 +1302,88 @@ mod tests {
             }
         }
         assert_eq!(compared, 3 * 2 * 3 * 15);
+    }
+
+    /// Deltas that miss events must not leak into the rates: the cached
+    /// path detects the stale member cache and rebuilds it, matching the
+    /// Full path bit for bit. Covers (a) a missed arrival, (b) a missed
+    /// arrival paired with a missed departure, which leaves the member
+    /// count right, and (c) an arrival reported twice paired with a
+    /// missed one, where every cached member is active but one twice.
+    #[test]
+    fn incremental_path_self_heals_from_missed_deltas() {
+        let topo = Topology::big_switch_uniform(8, 1.0);
+        let h1 = EchelonFlow::from_flows(
+            EchelonId(1),
+            JobId(1),
+            vec![fr(10, 1, 2, 1.0), fr(11, 1, 2, 2.0)],
+            ArrangementFn::Staggered { gap: 0.5 },
+        );
+        let make = || EchelonMadd::new(vec![fig2_echelon(), h1.clone()]);
+        // The flows a delta misses share host 2's egress with the solo
+        // flows the cache does hold, at earlier deadlines: the Full path
+        // serves each missed flow first, a stale cache would not.
+        let spec = |id: u64| match id {
+            0..=2 => (0, 1, id as f64 * 0.5),
+            10 | 11 => (1, 2, 0.5),
+            20 => (2, 0, 1.0),
+            21 => (2, 3, 0.8),
+            22 => (2, 4, 0.6),
+            30 => (5, 3, 2.0),
+            _ => (2, 6, 0.4),
+        };
+        let view = |id: u64, now: f64| {
+            let (src, dst, release) = spec(id);
+            let size = 1.0 + (id % 7) as f64 * 0.25;
+            ActiveFlowView {
+                id: FlowId(id),
+                slot: id as u32,
+                src: NodeId(src),
+                dst: NodeId(dst),
+                size,
+                remaining: size * (1.0 - 0.1 * (now - release)),
+                release: SimTime::new(release),
+                route: topo.route(NodeId(src), NodeId(dst)),
+            }
+        };
+        let ids = |v: &[u64]| v.iter().map(|&i| FlowId(i)).collect::<Vec<_>>();
+        // (now, active ids, reported arrivals, reported departures, the
+        // active flow a stale cache would miss)
+        type Step = (
+            f64,
+            &'static [u64],
+            &'static [u64],
+            &'static [u64],
+            Option<u64>,
+        );
+        let steps: [Step; 6] = [
+            (1.0, &[0, 10, 20], &[0, 10, 20], &[], None),
+            (1.5, &[0, 1, 10, 20, 21], &[1], &[], Some(21)), // (a)
+            (2.0, &[0, 1, 10, 21, 22], &[], &[], Some(22)),  // (b) 22 in, 20 out
+            (2.5, &[1, 2, 10, 21, 22], &[2], &[0], None),
+            (3.0, &[1, 2, 10, 21, 22, 30, 31], &[30, 30], &[], Some(31)), // (c)
+            (3.5, &[2, 10, 21, 22, 30, 31], &[], &[1], None),
+        ];
+        let mut cached = make();
+        let mut full = make();
+        let mut ws = AllocScratch::new();
+        for (k, &(now, active, arrived, departed, missed)) in steps.iter().enumerate() {
+            let flows: Vec<ActiveFlowView> = active.iter().map(|&i| view(i, now)).collect();
+            let delta = FlowDelta {
+                arrived: ids(arrived),
+                departed: ids(departed),
+            };
+            let now = SimTime::new(now);
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            cached.allocate_dense_incremental(now, &flows, &delta, &topo, &mut ws, &mut got);
+            full.allocate_dense(now, &flows, &topo, &mut ws, &mut want);
+            let bits = |v: &[f64]| v.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "step {k}");
+            if let Some(id) = missed {
+                let i = active.iter().position(|&a| a == id).unwrap();
+                assert!(want[i] > 0.0, "step {k}: flow {id} must be served");
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! across events — but the *storage* can. [`GroupCsr`] keeps the whole
 //! group structure in flat reusable buffers (a CSR layout: one `starts`
 //! offset array over concatenated member slices), with member positions
-//! in the id-sorted flow table resolved once per event. Paired with
+//! in the id-sorted flow table resolved once per event. Resolving them
+//! doubles as the member cache's staleness check: the cache is current
+//! iff every cached member resolves to a distinct active position and
+//! the member count equals the active count. Paired with
 //! [`echelon_simnet::linkindex::LinkLoad`] for the per-link sums, a
 //! steady-state MADD allocation performs no heap allocation.
 //!
@@ -27,7 +30,8 @@ use echelon_simnet::time::SimTime;
 /// Groups `g` own members `pos[starts[g]..starts[g + 1]]`; `pos` holds
 /// indices into the id-sorted active-flow slice, `deadline` the matching
 /// ideal finish times. `order`, `rank*`, `caps` and `residual` are working
-/// buffers for the inter-group sort and the serving pass.
+/// buffers for the inter-group sort and the serving pass; `claimed` backs
+/// the staleness check.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct GroupCsr {
     /// Group keys in ascending key order.
@@ -51,6 +55,10 @@ pub(crate) struct GroupCsr {
     /// Per-resource residual capacity during serving, seeded only on the
     /// active flows' route links; other entries are stale and never read.
     pub residual: Vec<f64>,
+    /// Per-flow marks, indexed like the flow slice: which positions a
+    /// cached member has resolved to (the staleness check of the member
+    /// cache).
+    pub claimed: Vec<bool>,
 }
 
 impl GroupCsr {

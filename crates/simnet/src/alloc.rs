@@ -154,7 +154,27 @@ impl AllocScratch {
 /// instead of O(`topo.num_resources()`), which keeps a decision's cost
 /// proportional to the live flows however large the fabric grows.
 pub fn seed_route_capacities(topo: &Topology, flows: &[ActiveFlowView], residual: &mut Vec<f64>) {
-    topo.capacities_on(flows.iter().flat_map(|f| f.route.iter().copied()), residual);
+    seed_capacities(
+        topo,
+        flows.iter().flat_map(|f| f.route.iter().copied()),
+        residual,
+    );
+}
+
+/// Writes `residual[r] = topo.capacity(r)` for every resource in
+/// `links` (duplicates allowed), growing `residual` to the fabric size
+/// first; every other entry keeps its contents.
+fn seed_capacities(
+    topo: &Topology,
+    links: impl IntoIterator<Item = ResourceId>,
+    residual: &mut Vec<f64>,
+) {
+    if residual.len() < topo.num_resources() {
+        residual.resize(topo.num_resources(), 0.0);
+    }
+    for r in links {
+        residual[r.0 as usize] = topo.capacity(r);
+    }
 }
 
 /// Collects into `links` the distinct resources the `flows`' routes
@@ -195,7 +215,7 @@ fn residuals_dense_into(
     links: &[u32],
     residual: &mut Vec<f64>,
 ) {
-    topo.capacities_on(links.iter().map(|&r| ResourceId(r)), residual);
+    seed_capacities(topo, links.iter().map(|&r| ResourceId(r)), residual);
     for (f, &rate) in flows.iter().zip(rates) {
         for r in &f.route {
             residual[r.0 as usize] -= rate;
@@ -1232,7 +1252,7 @@ mod tests {
         }
     }
 
-    /// The pre-link-index progressive filling, kept verbatim as the
+    /// The original progressive filling, kept verbatim as the
     /// bitwise reference for [`waterfill_dense`]'s active-link rounds.
     fn waterfill_reference(
         topo: &Topology,

@@ -19,12 +19,16 @@
 //! last [`FluidNetwork::take_delta`] are accumulated in a [`FlowDelta`],
 //! which incremental policies use to update cached group state instead of
 //! re-deriving it from the full flow set at every event.
+//!
+//! The table also keeps, per resource, how many active flows route over
+//! it (updated along the route at release and completion), so the
+//! occupied-link count behind [`FluidNetwork::link_stats`] is O(1) at
+//! every rate application.
 
 use crate::alloc::{check_feasible, check_feasible_dense, RateAlloc};
 use crate::calendar::CalendarQueue;
 use crate::flow::{ActiveFlowView, FlowArena, FlowCompletion, FlowDemand};
 use crate::ids::{FlowId, ResourceId};
-use crate::linkindex::LinkIndex;
 use crate::time::{SimTime, EPS};
 use crate::topology::Topology;
 
@@ -106,9 +110,11 @@ pub struct FluidNetwork {
     feasibility_checks: bool,
     /// Reused per-resource buffer for dense feasibility checks.
     feas_residual: Vec<f64>,
-    /// Link↔flow adjacency, maintained on every release/completion — the
-    /// authoritative (always-consistent) copy policies can borrow.
-    links: LinkIndex,
+    /// Active flows routed over each resource, maintained on every
+    /// release and completion.
+    resident: Vec<u32>,
+    /// Resources with a nonzero `resident` count.
+    occupied: usize,
     /// Distinct links touched by a bitwise rate change, summed over
     /// [`Self::set_rates_dense`] / [`Self::set_rates`] calls.
     links_dirty: usize,
@@ -165,7 +171,8 @@ impl FluidNetwork {
             mode,
             feasibility_checks: true,
             feas_residual: Vec::new(),
-            links: LinkIndex::new(num_resources),
+            resident: vec![0; num_resources],
+            occupied: 0,
             links_dirty: 0,
             links_occupied: 0,
             dirty_stamp: vec![0; num_resources],
@@ -193,9 +200,10 @@ impl FluidNetwork {
     /// is still force-invalidated here, so every capacity mutation
     /// re-derives the next completion from the buckets instead of
     /// trusting that reasoning (the fault-differential suite pins the
-    /// two paths bit-identical). The [`LinkIndex`] is adjacency, not
-    /// capacity, and needs no repair — invalidation of *policy-side*
-    /// caches happens via [`crate::runner::RatePolicy::on_fault`].
+    /// two paths bit-identical). The per-resource resident counts are
+    /// occupancy, not capacity, and need no repair — invalidation of
+    /// *policy-side* caches happens via
+    /// [`crate::runner::RatePolicy::on_fault`].
     ///
     /// # Panics
     ///
@@ -299,7 +307,11 @@ impl FluidNetwork {
         self.rates.insert(pos, 0.0);
         self.due_pos.insert(pos, f64::INFINITY);
         self.thresh.insert(pos, EPS.max(demand.size * 1e-12));
-        self.links.insert(demand.id, slot, &self.views[pos].route);
+        for r in &self.views[pos].route {
+            let n = &mut self.resident[r.0 as usize];
+            self.occupied += usize::from(*n == 0);
+            *n += 1;
+        }
         self.delta.arrived.push(demand.id);
     }
 
@@ -346,17 +358,11 @@ impl FluidNetwork {
         self.link_stats_on = on;
     }
 
-    /// The link↔flow adjacency over the active set, maintained on every
-    /// release and completion (always [`LinkIndex::consistent`] with
-    /// [`Self::views`]).
-    pub fn link_index(&self) -> &LinkIndex {
-        &self.links
-    }
-
     /// `(dirty, occupied)` link counters summed over rate applications:
     /// `dirty` counts distinct links touched by a bitwise rate change per
-    /// application, `occupied` the links carrying at least one flow. Their
-    /// ratio is the `link_recompute_fraction` reported by `sched_bench`.
+    /// application, `occupied` the links carrying at least one flow (read
+    /// from the resident-flow counts). Their ratio is the
+    /// `link_recompute_fraction` reported by `sched_bench`.
     pub fn link_stats(&self) -> (usize, usize) {
         (self.links_dirty, self.links_occupied)
     }
@@ -417,7 +423,7 @@ impl FluidNetwork {
             }
         }
         if self.link_stats_on {
-            self.links_occupied += self.links.occupied_count();
+            self.links_occupied += self.occupied;
         }
     }
 
@@ -489,7 +495,7 @@ impl FluidNetwork {
             }
         }
         if self.link_stats_on {
-            self.links_occupied += self.links.occupied_count();
+            self.links_occupied += self.occupied;
         }
     }
 
@@ -534,7 +540,7 @@ impl FluidNetwork {
             }
         }
         if self.link_stats_on {
-            self.links_occupied += self.links.occupied_count();
+            self.links_occupied += self.occupied;
         }
     }
 
@@ -647,14 +653,20 @@ impl FluidNetwork {
         if self.completed_scratch.is_empty() {
             return Vec::new();
         }
-        // Unwind completed flows' slots, dues, calendar entries, and
-        // recycle their route buffers before removal. Survivors' dues
-        // are untouched and still valid — no rescan.
+        // Unwind completed flows' resident counts, slots, dues and
+        // calendar entries, and recycle their route buffers before
+        // removal. Survivors' dues are untouched and still valid — no
+        // rescan.
         let mut done = Vec::with_capacity(self.completed_scratch.len());
         for k in 0..self.completed_scratch.len() {
             let i = self.completed_scratch[k];
             let slot = self.views[i].slot;
             let route = std::mem::take(&mut self.views[i].route);
+            for r in &route {
+                let n = &mut self.resident[r.0 as usize];
+                *n -= 1;
+                self.occupied -= usize::from(*n == 0);
+            }
             let v = &self.views[i];
             done.push(FlowCompletion {
                 id: v.id,
@@ -678,9 +690,6 @@ impl FluidNetwork {
             self.rates.remove(i);
             self.due_pos.remove(i);
             self.thresh.remove(i);
-        }
-        for c in &done {
-            self.links.remove(c.id);
         }
         self.delta.departed.extend(done.iter().map(|c| c.id));
         self.completions.extend(done.iter().copied());
@@ -854,28 +863,14 @@ mod tests {
     }
 
     #[test]
-    fn link_index_tracks_releases_and_completions() {
+    fn occupancy_tracks_releases_and_completions() {
         let mut net = FluidNetwork::new(Topology::big_switch_uniform(3, 1.0));
         net.release(&demand(0, 0, 1, 1.0, 0.0));
         net.release(&demand(1, 2, 1, 4.0, 0.0));
-        assert!(net.link_index().consistent(net.views()));
-        // Both flows land on host 1's ingress port (ResourceId 3); slots
-        // are assigned in release order.
-        use crate::linkindex::LinkFlow;
-        assert_eq!(
-            net.link_index().flows_on(crate::ids::ResourceId(3)),
-            &[
-                LinkFlow {
-                    id: FlowId(0),
-                    slot: 0
-                },
-                LinkFlow {
-                    id: FlowId(1),
-                    slot: 1
-                }
-            ]
-        );
-        assert_eq!(net.link_index().occupied_count(), 3);
+        // Both flows land on host 1's ingress port (ResourceId 3), so the
+        // two routes occupy 3 distinct links.
+        assert_eq!(net.resident[3], 2);
+        assert_eq!(net.occupied, 3);
 
         let rates = max_min_rates(net.topology(), net.views());
         net.set_rates(&rates);
@@ -885,8 +880,8 @@ mod tests {
 
         let dt = net.next_completion_in().unwrap();
         net.advance(dt); // flow 0 finishes
-        assert!(net.link_index().consistent(net.views()));
-        assert_eq!(net.link_index().occupied_count(), 2);
+        assert_eq!(net.resident[3], 1);
+        assert_eq!(net.occupied, 2);
 
         // Re-applying identical rates dirties nothing but still counts
         // the occupied denominator.

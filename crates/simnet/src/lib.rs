@@ -39,13 +39,12 @@
 //! - [`fault`] — timed fault injection: link down/restore/degrade,
 //!   coordinator outage windows, and straggler compute slowdowns, driven
 //!   as a first-class event source by [`driver::drive_faulted`].
-//! - [`linkindex`] — link↔flow adjacency maintained incrementally from
-//!   flow deltas, plus the stamped dense per-link accumulator the MADD
-//!   schedulers allocate rates with.
+//! - [`linkindex`] — the stamped dense per-link accumulator the MADD
+//!   schedulers sum per-link loads with.
 //! - [`sweep`] — deterministic parallel sweep engine: shared-nothing
-//!   scenario/seed/scheduler tasks fan out across threads (`parallel`
-//!   feature, default on) with results merged in task-index order, so
-//!   output is byte-identical regardless of thread count.
+//!   scenario/seed/scheduler tasks fan out across threads with results
+//!   merged in task-index order, so output is byte-identical regardless
+//!   of thread count.
 //! - [`driver`] — the shared simulation driver: one
 //!   release→allocate→advance→complete event loop, parameterized by a
 //!   [`driver::WorkloadSource`]. Every simulation in the workspace (static
@@ -101,7 +100,7 @@ pub mod prelude {
     pub use crate::flow::{ActiveFlowView, FlowArena, FlowDemand};
     pub use crate::fluid::{FlowDelta, FluidNetwork, NextCompletionMode};
     pub use crate::ids::{FlowId, LinkId, NodeId, ResourceId};
-    pub use crate::linkindex::{LinkFlow, LinkIndex, LinkLoad};
+    pub use crate::linkindex::LinkLoad;
     pub use crate::quantized::{run_flows_quantized, QuantizedOutcome};
     pub use crate::runner::{
         run_flows, FlowOutcomes, MaxMinPolicy, PodMaxMinPolicy, RatePolicy, RecomputeMode,

@@ -1,237 +1,15 @@
-//! Link↔flow adjacency, maintained incrementally from [`FlowDelta`]s.
+//! Dense per-link arithmetic for the MADD schedulers.
 //!
-//! [`LinkIndex`] keeps, for every resource, the ascending list of flow
-//! ids currently routed over it (link→flows), plus each indexed flow's
-//! route (flow→links) so departures can be unwound without consulting the
-//! topology. It is the structural half of the link-indexed allocation
-//! core: consumers iterate only a link's resident flows — or only the
-//! links that are occupied at all — instead of scanning every flow per
-//! link.
-//!
-//! The index is a pure function of the active-flow set, so it supports a
-//! cheap O(F) [`LinkIndex::consistent`] check against the id-sorted flow
-//! table. Incremental maintenance ([`LinkIndex::apply_delta`]) and the
-//! from-scratch [`LinkIndex::rebuild`] must agree exactly (membership
-//! *and* ordering); `tests/properties.rs` drives random delta sequences
-//! against both. When a consumer cannot prove its deltas were applied
-//! exhaustively it falls back to [`LinkIndex::ensure`] — the conservative
-//! full recompute documented in DESIGN.md §8.
-//!
-//! [`LinkLoad`] is the arithmetic half: a stamped dense per-link
-//! accumulator that replaces the transient `BTreeMap<ResourceId, f64>`
-//! maps the MADD schedulers used to build on every event. Iterating the
-//! touched list after [`LinkLoad::sort_touched`] visits exactly the links
-//! a `BTreeMap` would, in the same ascending order, so floating-point
-//! reductions over it are bit-identical to the map-based path.
+//! [`LinkLoad`] is a stamped dense per-link accumulator that replaces the
+//! transient `BTreeMap<ResourceId, f64>` maps the MADD schedulers used to
+//! build on every event. Iterating the touched list after
+//! [`LinkLoad::sort_touched`] visits exactly the links a `BTreeMap` would,
+//! in the same ascending order, so floating-point reductions over it are
+//! bit-identical to the map-based path. It is all the MADD allocation
+//! needs per link: the per-link *loads* of a stage, never a list of the
+//! flows resident on a link.
 
-use crate::flow::ActiveFlowView;
-use crate::fluid::FlowDelta;
-use crate::ids::{FlowId, ResourceId};
-
-/// One resident-flow entry in a CSR row: the flow's id (the ordering and
-/// identity key) plus its arena slot (the dense index into per-slot side
-/// tables, so row walkers touch contiguous arrays instead of id maps).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkFlow {
-    /// Flow identifier (rows stay ascending in this).
-    pub id: FlowId,
-    /// Arena slot of the flow ([`crate::flow::FlowArena`]).
-    pub slot: u32,
-}
-
-/// CSR-style link→flows / flow→links adjacency over the active-flow set.
-///
-/// Invariants (checked by `debug_assert`s and the property suite):
-/// - `flows_on(r)` is strictly ascending in flow id for every resource;
-/// - a flow id appears in `flows_on(r)` iff `r` is in its indexed route;
-/// - `occupied_links()` is strictly ascending and lists exactly the
-///   resources with at least one resident flow.
-#[derive(Debug, Clone, Default)]
-pub struct LinkIndex {
-    /// `per_link[r]` = id-ascending [`LinkFlow`] entries routed over
-    /// resource `r` (arena slots ride along with the ids).
-    per_link: Vec<Vec<LinkFlow>>,
-    /// Indexed flows in ascending id order, each with its slot and route
-    /// copy (the route buffer is recycled across insert/remove cycles).
-    flows: Vec<(LinkFlow, Vec<ResourceId>)>,
-    /// Ascending resource ids with at least one resident flow.
-    occupied: Vec<ResourceId>,
-    /// Recycled route buffers from removed flows.
-    spare_routes: Vec<Vec<ResourceId>>,
-}
-
-impl LinkIndex {
-    /// Creates an empty index over `num_resources` resources.
-    pub fn new(num_resources: usize) -> LinkIndex {
-        LinkIndex {
-            per_link: vec![Vec::new(); num_resources],
-            flows: Vec::new(),
-            occupied: Vec::new(),
-            spare_routes: Vec::new(),
-        }
-    }
-
-    /// Number of resources the index spans.
-    pub fn num_resources(&self) -> usize {
-        self.per_link.len()
-    }
-
-    /// Number of indexed flows.
-    pub fn len(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// True when no flow is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
-    }
-
-    /// Id-ascending resident flows on resource `r` (empty for resources
-    /// the index has not grown to yet). Each entry carries the flow's
-    /// arena slot alongside its id.
-    pub fn flows_on(&self, r: ResourceId) -> &[LinkFlow] {
-        self.per_link
-            .get(r.0 as usize)
-            .map_or(&[][..], |v| v.as_slice())
-    }
-
-    /// The indexed route of `id`, or `None` if the flow is not indexed.
-    pub fn links_of(&self, id: FlowId) -> Option<&[ResourceId]> {
-        self.flow_pos(id).map(|i| self.flows[i].1.as_slice())
-    }
-
-    /// Ascending resource ids with at least one resident flow.
-    pub fn occupied_links(&self) -> &[ResourceId] {
-        &self.occupied
-    }
-
-    /// Number of occupied links (O(1)).
-    pub fn occupied_count(&self) -> usize {
-        self.occupied.len()
-    }
-
-    fn flow_pos(&self, id: FlowId) -> Option<usize> {
-        self.flows.binary_search_by(|(f, _)| f.id.cmp(&id)).ok()
-    }
-
-    /// Indexes a flow under its route and arena slot, growing the
-    /// per-link table on demand (a default-constructed index spans no
-    /// resources yet).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is already indexed.
-    pub fn insert(&mut self, id: FlowId, slot: u32, route: &[ResourceId]) {
-        let pos = match self.flows.binary_search_by(|(f, _)| f.id.cmp(&id)) {
-            Ok(_) => panic!("flow {id} already indexed"),
-            Err(pos) => pos,
-        };
-        let entry = LinkFlow { id, slot };
-        let mut copy = self.spare_routes.pop().unwrap_or_default();
-        copy.extend_from_slice(route);
-        self.flows.insert(pos, (entry, copy));
-        for &r in route {
-            let ri = r.0 as usize;
-            if ri >= self.per_link.len() {
-                self.per_link.resize_with(ri + 1, Vec::new);
-            }
-            let bucket = &mut self.per_link[ri];
-            if bucket.is_empty() {
-                let at = self.occupied.partition_point(|&o| o < r);
-                debug_assert!(self.occupied.get(at) != Some(&r));
-                self.occupied.insert(at, r);
-            }
-            let at = bucket.partition_point(|f| f.id < id);
-            debug_assert!(
-                bucket.get(at).map(|f| f.id) != Some(id),
-                "flow {id} already on {r}"
-            );
-            bucket.insert(at, entry);
-        }
-    }
-
-    /// Removes a flow from the index. Returns `false` when the flow was
-    /// not indexed (tolerated: a delta may report the departure of a flow
-    /// that arrived and departed within the same drain).
-    pub fn remove(&mut self, id: FlowId) -> bool {
-        let Some(pos) = self.flow_pos(id) else {
-            return false;
-        };
-        let (_, mut route) = self.flows.remove(pos);
-        for &r in route.iter() {
-            let bucket = &mut self.per_link[r.0 as usize];
-            let at = bucket.partition_point(|f| f.id < id);
-            debug_assert_eq!(
-                bucket.get(at).map(|f| f.id),
-                Some(id),
-                "flow {id} missing from {r}"
-            );
-            bucket.remove(at);
-            if bucket.is_empty() {
-                let at = self.occupied.partition_point(|&o| o < r);
-                debug_assert_eq!(self.occupied.get(at), Some(&r));
-                self.occupied.remove(at);
-            }
-        }
-        route.clear();
-        self.spare_routes.push(route);
-        true
-    }
-
-    /// Applies one drained [`FlowDelta`] against the *post-delta* flow
-    /// table: arrivals are looked up in `flows` for their routes and
-    /// slots (an arrival that already departed again is skipped — its
-    /// departure is then a tolerated no-op), departures unwind via the
-    /// stored route.
-    pub fn apply_delta(&mut self, flows: &[ActiveFlowView], delta: &FlowDelta) {
-        for &id in &delta.arrived {
-            if let Ok(i) = flows.binary_search_by(|v| v.id.cmp(&id)) {
-                self.insert(id, flows[i].slot, &flows[i].route);
-            }
-        }
-        for &id in &delta.departed {
-            self.remove(id);
-        }
-    }
-
-    /// Rebuilds the index from scratch over the id-sorted flow table.
-    pub fn rebuild(&mut self, flows: &[ActiveFlowView]) {
-        for bucket in &mut self.per_link {
-            bucket.clear();
-        }
-        while let Some((_, mut route)) = self.flows.pop() {
-            route.clear();
-            self.spare_routes.push(route);
-        }
-        self.occupied.clear();
-        for v in flows {
-            self.insert(v.id, v.slot, &v.route);
-        }
-    }
-
-    /// O(F) check that the indexed flow set is exactly `flows` (which is
-    /// id-sorted). Because the index is a pure function of the flow set,
-    /// id-set equality implies the whole adjacency is current.
-    pub fn consistent(&self, flows: &[ActiveFlowView]) -> bool {
-        self.flows.len() == flows.len()
-            && self
-                .flows
-                .iter()
-                .zip(flows)
-                .all(|((f, _), v)| f.id == v.id && f.slot == v.slot)
-    }
-
-    /// Conservative fallback: rebuild unless [`Self::consistent`]; returns
-    /// `true` when a rebuild happened.
-    pub fn ensure(&mut self, flows: &[ActiveFlowView]) -> bool {
-        if self.consistent(flows) {
-            false
-        } else {
-            self.rebuild(flows);
-            true
-        }
-    }
-}
+use crate::ids::ResourceId;
 
 /// Stamped dense per-link `f64` accumulator with a touched-link list.
 ///
@@ -305,85 +83,6 @@ impl LinkLoad {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::NodeId;
-    use crate::time::SimTime;
-
-    fn view(id: u64, route: &[u32]) -> ActiveFlowView {
-        ActiveFlowView {
-            id: FlowId(id),
-            slot: id as u32,
-            src: NodeId(0),
-            dst: NodeId(1),
-            size: 1.0,
-            remaining: 1.0,
-            release: SimTime::ZERO,
-            route: route.iter().map(|&r| ResourceId(r)).collect(),
-        }
-    }
-
-    fn lf(id: u64) -> LinkFlow {
-        LinkFlow {
-            id: FlowId(id),
-            slot: id as u32,
-        }
-    }
-
-    #[test]
-    fn insert_remove_roundtrip() {
-        let mut idx = LinkIndex::new(4);
-        idx.insert(FlowId(2), 2, &[ResourceId(0), ResourceId(3)]);
-        idx.insert(FlowId(1), 1, &[ResourceId(3)]);
-        assert_eq!(idx.flows_on(ResourceId(3)), &[lf(1), lf(2)]);
-        assert_eq!(idx.flows_on(ResourceId(0)), &[lf(2)]);
-        assert_eq!(idx.occupied_links(), &[ResourceId(0), ResourceId(3)]);
-        assert_eq!(
-            idx.links_of(FlowId(2)),
-            Some(&[ResourceId(0), ResourceId(3)][..])
-        );
-        assert!(idx.remove(FlowId(2)));
-        assert_eq!(idx.occupied_links(), &[ResourceId(3)]);
-        assert!(!idx.remove(FlowId(2)));
-        assert!(idx.remove(FlowId(1)));
-        assert!(idx.is_empty());
-        assert_eq!(idx.occupied_count(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "already indexed")]
-    fn duplicate_insert_rejected() {
-        let mut idx = LinkIndex::new(2);
-        idx.insert(FlowId(0), 0, &[ResourceId(0)]);
-        idx.insert(FlowId(0), 1, &[ResourceId(1)]);
-    }
-
-    #[test]
-    fn apply_delta_matches_rebuild() {
-        let flows = vec![view(0, &[0, 1]), view(2, &[1, 2]), view(5, &[0])];
-        let mut inc = LinkIndex::new(3);
-        inc.insert(FlowId(1), 1, &[ResourceId(2)]); // departs below
-        inc.insert(FlowId(0), 0, &[ResourceId(0), ResourceId(1)]);
-        let delta = FlowDelta {
-            arrived: vec![FlowId(2), FlowId(5), FlowId(9)], // 9 already gone
-            departed: vec![FlowId(1), FlowId(9)],
-        };
-        inc.apply_delta(&flows, &delta);
-        let mut scratch = LinkIndex::new(3);
-        scratch.rebuild(&flows);
-        assert!(inc.consistent(&flows));
-        for r in 0..3 {
-            assert_eq!(inc.flows_on(ResourceId(r)), scratch.flows_on(ResourceId(r)));
-        }
-        assert_eq!(inc.occupied_links(), scratch.occupied_links());
-    }
-
-    #[test]
-    fn ensure_rebuilds_only_when_stale() {
-        let flows = vec![view(0, &[0]), view(1, &[1])];
-        let mut idx = LinkIndex::new(2);
-        assert!(idx.ensure(&flows)); // stale: rebuilt
-        assert!(!idx.ensure(&flows)); // now consistent
-        assert_eq!(idx.flows_on(ResourceId(1)), &[lf(1)]);
-    }
 
     #[test]
     fn link_load_matches_map_semantics() {

@@ -401,7 +401,6 @@ const ROUTE_STRIDE: usize = crate::alloc::ROUTE_RANK_STRIDE;
 /// thread costs tens of microseconds; a pod recompute below this many
 /// members finishes faster than the spawn, so small allocations (the
 /// common single-dirty-pod incremental step) stay on the serial path.
-#[cfg(feature = "parallel")]
 const POD_PARALLEL_MIN_MEMBERS: usize = 128;
 
 /// Runs one waterfill per pod in `pods` on `threads` workers (the
@@ -417,7 +416,6 @@ const POD_PARALLEL_MIN_MEMBERS: usize = 128;
 /// dense buffer, and the merge applies member rates in `pods` order —
 /// byte-identical to running the same waterfills serially, regardless
 /// of thread count or scheduling.
-#[cfg(feature = "parallel")]
 fn waterfill_pods_threaded<F>(
     pods: &[usize],
     members: &[Vec<usize>],
@@ -493,9 +491,9 @@ impl PodMaxMinPolicy {
 
     /// Pods recomputed on worker threads over this policy's lifetime
     /// (always 0 when the serial path handled everything, e.g. with a
-    /// one-thread budget or without the `parallel` feature). The
-    /// parallel-vs-serial digest gates assert this is nonzero on the
-    /// threaded side so the comparison is never vacuous.
+    /// one-thread budget). The parallel-vs-serial digest gates assert
+    /// this is nonzero on the threaded side so the comparison is never
+    /// vacuous.
     pub fn threaded_pods(&self) -> usize {
         self.pods_threaded
     }
@@ -575,11 +573,7 @@ impl PodMaxMinPolicy {
             }
         }
         self.pods_total += npods;
-        #[cfg(feature = "parallel")]
-        let threaded = self.try_fresh_parallel(npods, flows, topo, out);
-        #[cfg(not(feature = "parallel"))]
-        let threaded = false;
-        if !threaded {
+        if !self.try_fresh_parallel(npods, flows, topo, out) {
             for pod in 0..npods {
                 if self.fresh[pod] {
                     waterfill_subset_dense(topo, flows, &self.members[pod], out, ws);
@@ -616,7 +610,6 @@ impl PodMaxMinPolicy {
     /// member list (scratch state never influences results) and the
     /// merge writes disjoint member entries; see
     /// [`waterfill_pods_threaded`] for the full contract.
-    #[cfg(feature = "parallel")]
     fn try_fresh_parallel(
         &mut self,
         npods: usize,
@@ -698,11 +691,7 @@ impl PodMaxMinPolicy {
                 }
             }
         }
-        #[cfg(feature = "parallel")]
-        let threaded = self.try_sparse_parallel(&dirty, flows.len(), out);
-        #[cfg(not(feature = "parallel"))]
-        let threaded = false;
-        if !threaded {
+        if !self.try_sparse_parallel(&dirty, flows.len(), out) {
             for &pod in &dirty {
                 waterfill_pod(
                     &self.pod_caps[pod],
@@ -735,7 +724,6 @@ impl PodMaxMinPolicy {
     /// members, pool ≥ 2 threads; a core-crossing flow structurally
     /// never reaches here). The typical single-dirty-pod incremental
     /// step returns false immediately — the gate is one length check.
-    #[cfg(feature = "parallel")]
     fn try_sparse_parallel(&mut self, dirty: &[usize], nflows: usize, out: &mut [f64]) -> bool {
         if dirty.len() < 2 {
             return false;
@@ -768,7 +756,6 @@ impl PodMaxMinPolicy {
     /// Worker-thread budget for per-pod recomputes, resolved once per
     /// policy instance from the sweep knob (`RAYON_NUM_THREADS`, else
     /// available parallelism).
-    #[cfg(feature = "parallel")]
     fn pool_threads(&mut self) -> usize {
         if self.threads == 0 {
             self.threads = crate::sweep::configured_threads().max(1);

@@ -358,50 +358,6 @@ impl Topology {
         }
     }
 
-    /// Writes `out[r] = capacity(r)` for every resource `r` in
-    /// `resources` (duplicates allowed), growing `out` to
-    /// [`Self::num_resources`] first; every other entry keeps its
-    /// contents. The sparse form of [`Self::capacities_into`]: seeding a
-    /// residual buffer on the links the active routes cross costs
-    /// O(route hops) instead of O(fabric), with one model dispatch per
-    /// call rather than per resource.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a resource is out of range.
-    pub fn capacities_on<I: IntoIterator<Item = ResourceId>>(
-        &self,
-        resources: I,
-        out: &mut Vec<f64>,
-    ) {
-        if out.len() < self.num_resources() {
-            out.resize(self.num_resources(), 0.0);
-        }
-        match self {
-            Topology::BigSwitch(bs) => {
-                for r in resources {
-                    let host = (r.0 / 2) as usize;
-                    out[r.0 as usize] = if r.0.is_multiple_of(2) {
-                        bs.egress[host]
-                    } else {
-                        bs.ingress[host]
-                    };
-                }
-            }
-            Topology::LinkGraph(g) => {
-                for r in resources {
-                    out[r.0 as usize] = g.links[r.0 as usize].2;
-                }
-            }
-            Topology::FatTree(f) => {
-                let caps = f.caps();
-                for r in resources {
-                    out[r.0 as usize] = caps[r.0 as usize];
-                }
-            }
-        }
-    }
-
     /// The resources a `src → dst` flow occupies, in deterministic order.
     ///
     /// # Panics
@@ -486,29 +442,6 @@ mod tests {
             for (r, &c) in caps.iter().enumerate() {
                 assert_eq!(c, t.capacity(ResourceId(r as u32)));
             }
-        }
-    }
-
-    #[test]
-    fn capacities_on_writes_only_listed_resources() {
-        let mut topos = [
-            Topology::BigSwitch(BigSwitch::new(vec![1.0, 2.0], vec![3.0, 4.0])),
-            Topology::dumbbell(2, 2, 10.0, 1.0),
-            crate::fattree::FatTree::new(4).build_fabric(),
-        ];
-        for t in &mut topos {
-            t.set_capacity(ResourceId(3), 0.25); // reads the current value
-            let mut out = Vec::new();
-            t.capacities_on([ResourceId(3), ResourceId(0), ResourceId(3)], &mut out);
-            assert_eq!(out.len(), t.num_resources());
-            assert_eq!(out[0], t.capacity(ResourceId(0)));
-            assert_eq!(out[3], 0.25);
-            // Unlisted entries keep their contents, even past the fabric.
-            let mut poisoned = vec![f64::NAN; t.num_resources() + 5];
-            t.capacities_on([ResourceId(1)], &mut poisoned);
-            assert_eq!(poisoned.len(), t.num_resources() + 5);
-            assert_eq!(poisoned[1], t.capacity(ResourceId(1)));
-            assert!(poisoned[0].is_nan() && poisoned[2].is_nan());
         }
     }
 

@@ -371,103 +371,121 @@ mod dense_allocation {
     }
 }
 
-mod link_index {
-    //! The link-indexed adjacency (`simnet::linkindex::LinkIndex`)
-    //! maintained incrementally from random `FlowDelta` sequences must
-    //! equal the index rebuilt from scratch after every drain — same
-    //! per-link membership, same ordering, same occupied-link list.
+mod link_occupancy {
+    //! The fluid network's link-recompute counters (`link_stats`), kept
+    //! from per-resource resident-flow counts, must equal a brute-force
+    //! recount from the active routes after every rate application:
+    //! `occupied` sums the distinct links on active routes per
+    //! application, `dirty` the distinct route links of flows whose rate
+    //! bits changed.
 
     use echelon_detrand::DetRng;
-    use echelonflow::simnet::flow::ActiveFlowView;
-    use echelonflow::simnet::fluid::FlowDelta;
-    use echelonflow::simnet::ids::{FlowId, NodeId, ResourceId};
-    use echelonflow::simnet::linkindex::LinkIndex;
-    use echelonflow::simnet::time::SimTime;
+    use echelonflow::simnet::alloc::{waterfill_dense, AllocScratch};
+    use echelonflow::simnet::fattree::FatTree;
+    use echelonflow::simnet::flow::FlowDemand;
+    use echelonflow::simnet::fluid::FluidNetwork;
+    use echelonflow::simnet::ids::{FlowId, NodeId};
     use echelonflow::simnet::topology::Topology;
+    use std::collections::{BTreeMap, BTreeSet};
 
-    fn view(id: u64, hosts: usize, topo: &Topology, rng: &mut DetRng) -> ActiveFlowView {
-        let src = rng.usize_range_inclusive(0, hosts - 1);
-        let mut dst = rng.usize_range_inclusive(0, hosts - 2);
-        if dst >= src {
-            dst += 1;
-        }
-        let size = rng.f64_range(0.5, 4.0);
-        ActiveFlowView {
-            id: FlowId(id),
-            src: NodeId(src as u32),
-            dst: NodeId(dst as u32),
-            size,
-            remaining: size,
-            release: SimTime::new(0.0),
-            route: topo.route(NodeId(src as u32), NodeId(dst as u32)),
-            slot: id as u32,
-        }
+    /// Distinct links over the routes of the flows at positions `which`.
+    fn distinct_links(net: &FluidNetwork, which: impl Iterator<Item = usize>) -> usize {
+        which
+            .flat_map(|i| net.views()[i].route.iter().copied())
+            .collect::<BTreeSet<_>>()
+            .len()
     }
 
-    fn assert_equal(incremental: &LinkIndex, rebuilt: &LinkIndex, step: usize) {
-        assert_eq!(
-            incremental.occupied_links(),
-            rebuilt.occupied_links(),
-            "step {step}: occupied-link lists differ"
-        );
-        let resources = incremental.num_resources().max(rebuilt.num_resources());
-        for r in 0..resources {
-            let r = ResourceId(r as u32);
-            assert_eq!(
-                incremental.flows_on(r),
-                rebuilt.flows_on(r),
-                "step {step}: per-link membership/order differs on {r:?}"
+    #[test]
+    fn link_stats_match_brute_force_recount() {
+        let mut dirty_seen = 0usize;
+        for seed in 0..16u64 {
+            let mut rng = DetRng::seed_from_u64(0x0CC0 + seed);
+            let (topo, hosts) = if seed % 2 == 0 {
+                let hosts = rng.usize_range_inclusive(3, 10);
+                (Topology::big_switch_uniform(hosts, 1.0), hosts)
+            } else {
+                let ft = FatTree::new(4);
+                (ft.build_fabric(), ft.hosts())
+            };
+            let mut net = FluidNetwork::new(topo);
+            // Sparse applications may mix fresh and stale rates; the
+            // counters, not feasibility, are under test here.
+            net.set_feasibility_checks(false);
+            let (mut dirty, mut occupied) = (0usize, 0usize);
+            let mut ws = AllocScratch::new();
+            let mut rates = Vec::new();
+            let mut next_id = 0u64;
+            for step in 0..80 {
+                for _ in 0..rng.usize_range_inclusive(0, 3) {
+                    let src = rng.usize_range_inclusive(0, hosts - 1);
+                    let mut dst = rng.usize_range_inclusive(0, hosts - 2);
+                    if dst >= src {
+                        dst += 1;
+                    }
+                    net.release(&FlowDemand::new(
+                        FlowId(next_id),
+                        NodeId(src as u32),
+                        NodeId(dst as u32),
+                        rng.f64_range(0.2, 3.0),
+                        net.now(),
+                    ));
+                    next_id += 1;
+                }
+                let n = net.active_count();
+                rates.clear();
+                rates.resize(n, 0.0);
+                waterfill_dense(net.topology(), net.views(), None, None, &mut rates, &mut ws);
+                // Scale some rates down so successive applications differ
+                // flow by flow, and keep others so some bits stay equal.
+                for r in rates.iter_mut() {
+                    if rng.next_f64() < 0.3 {
+                        *r *= 0.5;
+                    }
+                }
+                let before: BTreeMap<FlowId, u64> = net
+                    .views()
+                    .iter()
+                    .zip(net.rates())
+                    .map(|(v, r)| (v.id, r.to_bits()))
+                    .collect();
+                match rng.usize_range_inclusive(0, 2) {
+                    0 => net.set_rates_dense(&rates),
+                    1 => {
+                        let changed: Vec<usize> = (0..n).filter(|_| rng.next_f64() < 0.5).collect();
+                        net.set_rates_sparse(&rates, &changed);
+                    }
+                    _ => {
+                        // Re-apply the rates in force: nothing is dirty.
+                        let current = net.rates().to_vec();
+                        net.set_rates_dense(&current);
+                    }
+                }
+                occupied += distinct_links(&net, 0..n);
+                let flipped = distinct_links(
+                    &net,
+                    (0..n).filter(|&i| net.rates()[i].to_bits() != before[&net.views()[i].id]),
+                );
+                dirty += flipped;
+                dirty_seen += flipped;
+                assert_eq!(
+                    net.link_stats(),
+                    (dirty, occupied),
+                    "seed {seed} step {step}: counters drifted from the recount"
+                );
+                if let Some(dt) = net.next_completion_in() {
+                    let dt = if rng.next_f64() < 0.5 { dt } else { dt * 0.5 };
+                    net.advance(dt);
+                } else if n > 0 {
+                    net.advance(0.1);
+                }
+                let _ = net.take_delta();
+            }
+            assert!(
+                !net.completions().is_empty(),
+                "seed {seed}: no flow ever completed"
             );
         }
-    }
-
-    /// Random arrive/depart churn, including the two tolerated edge
-    /// cases: a flow that arrives and departs within the same drain
-    /// (reported in `arrived` but absent from the active slice) and a
-    /// departure for a flow the index never held.
-    #[test]
-    fn incremental_index_matches_rebuilt_from_scratch() {
-        for seed in 0..25u64 {
-            let mut rng = DetRng::seed_from_u64(0x11D3 + seed);
-            let hosts = rng.usize_range_inclusive(3, 8);
-            let topo = if rng.next_f64() < 0.5 {
-                Topology::chain(hosts, 1.0)
-            } else {
-                Topology::big_switch_uniform(hosts, 1.0)
-            };
-            let mut active: Vec<ActiveFlowView> = Vec::new();
-            let mut incremental = LinkIndex::new(topo.num_resources());
-            let mut next_id = 0u64;
-            for step in 0..60 {
-                let mut delta = FlowDelta::default();
-                for _ in 0..rng.usize_range_inclusive(0, 3) {
-                    let v = view(next_id, hosts, &topo, &mut rng);
-                    delta.arrived.push(v.id);
-                    active.push(v);
-                    next_id += 1;
-                }
-                if rng.next_f64() < 0.2 {
-                    // Arrived and departed within the same drain: the id is
-                    // reported but never joins the active slice.
-                    delta.arrived.push(FlowId(next_id));
-                    delta.departed.push(FlowId(next_id));
-                    next_id += 1;
-                }
-                while !active.is_empty() && rng.next_f64() < 0.3 {
-                    let i = rng.usize_range_inclusive(0, active.len() - 1);
-                    delta.departed.push(active.remove(i).id);
-                }
-                active.sort_by_key(|v| v.id);
-                incremental.apply_delta(&active, &delta);
-
-                let mut rebuilt = LinkIndex::new(topo.num_resources());
-                rebuilt.rebuild(&active);
-                assert_equal(&incremental, &rebuilt, step);
-                assert!(
-                    incremental.consistent(&active),
-                    "seed {seed} step {step}: consistency check rejected a correct index"
-                );
-            }
-        }
+        assert!(dirty_seen > 0, "no application changed a rate");
     }
 }

@@ -130,7 +130,7 @@ pub fn scenario_metrics(jobs: &[GeneratedJob], run: &RunResult) -> ScenarioMetri
     // per-worker active window.
     let mut gate_time: BTreeMap<_, f64> = BTreeMap::new();
     for e in &run.timeline {
-        if e.label == ARRIVAL_LABEL {
+        if &*e.label == ARRIVAL_LABEL {
             *gate_time.entry(e.worker).or_insert(0.0) += e.end - e.start;
         }
     }

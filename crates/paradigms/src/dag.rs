@@ -21,6 +21,7 @@ use echelon_core::echelon::{EchelonFlow, FlowRef};
 use echelon_core::{EchelonId, JobId};
 use echelon_simnet::ids::{FlowId, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// What a computation unit does, for timeline rendering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,7 +48,8 @@ pub struct CompUnit {
     /// Kind, for timelines.
     pub kind: CompKind,
     /// Human-readable label, e.g. `"F2"` (forward of micro-batch 2).
-    pub label: String,
+    /// Shared, so a timeline entry holds it without copying the text.
+    pub label: Arc<str>,
     /// Computation units that must complete first.
     pub deps_comp: Vec<CompId>,
     /// Communication units that must complete first.
@@ -199,7 +201,7 @@ impl<'a> DagBuilder<'a> {
         worker: NodeId,
         duration: f64,
         kind: CompKind,
-        label: impl Into<String>,
+        label: impl Into<Arc<str>>,
         deps_comp: &[CompId],
         deps_comm: &[CommId],
     ) -> CompId {

@@ -373,7 +373,7 @@ mod tests {
         for f in out
             .timeline
             .iter()
-            .filter(|e| e.kind == CompKind::Forward && e.label == "F(i1)")
+            .filter(|e| e.kind == CompKind::Forward && &*e.label == "F(i1)")
         {
             assert!(first_update_end.at_or_before(f.start));
         }

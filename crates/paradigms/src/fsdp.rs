@@ -224,7 +224,7 @@ mod tests {
             .timeline_of(NodeId(0))
             .iter()
             .filter(|e| e.kind == CompKind::Forward)
-            .map(|e| e.label.as_str())
+            .map(|e| &*e.label)
             .collect();
         assert_eq!(labels, vec!["F1(i0)", "F2(i0)", "F3(i0)"]);
     }

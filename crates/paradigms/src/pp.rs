@@ -478,7 +478,7 @@ mod tests {
         let forwards: Vec<&str> = tl
             .iter()
             .filter(|e| e.kind == CompKind::Forward)
-            .map(|e| e.label.as_str())
+            .map(|e| &*e.label)
             .collect();
         assert_eq!(forwards, vec!["F1", "F2", "F3"]);
     }
@@ -496,7 +496,7 @@ mod tests {
         let f3_end = out
             .timeline_of(NodeId(1))
             .iter()
-            .find(|e| e.label == "F3" && e.kind == CompKind::Forward)
+            .find(|e| &*e.label == "F3" && e.kind == CompKind::Forward)
             .map(|e| e.end)
             .unwrap();
         assert!(f3_end.approx_eq(SimTime::new(8.0)), "F3 ends at {f3_end:?}");

@@ -11,10 +11,13 @@
 //! The event loop is the shared [`echelon_simnet::driver`]; this module
 //! contributes `JobSource`, the DAG-runtime [`WorkloadSource`]. Readiness
 //! is tracked with *dependency counters and ready queues* rather than
-//! fixpoint rescans: reverse dependency edges are built once per run, every
-//! completion decrements exactly its dependents' counters, and units whose
-//! counters hit zero enter id-ordered ready queues — so an event costs
-//! O(dependents touched), not O(total DAG size).
+//! fixpoint rescans: reverse dependency edges are built once per job at
+//! admission, every completion decrements exactly its dependents'
+//! counters, and units whose counters hit zero enter id-ordered ready
+//! queues — so an event costs O(dependents touched), not O(total DAG
+//! size). Running units wait in an end-time heap, and per-unit state sits
+//! in dense per-job arrays freed at retirement, so nothing scales with the
+//! number of jobs not yet arrived or already retired.
 //!
 //! [`run_jobs_arriving`] additionally admits each job at its own arrival
 //! time (the cluster workload shape): a job's workers and communication
@@ -41,7 +44,10 @@ use echelon_simnet::runner::{RatePolicy, RecomputeMode};
 use echelon_simnet::time::{SimTime, EPS};
 use echelon_simnet::topology::Topology;
 use echelon_simnet::trace::{FlowTrace, TraceEventKind};
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::sync::Arc;
 
 /// Which declared grouping to schedule a job under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,7 +97,7 @@ pub trait JobFeed {
 
     /// Whether an [`admit`](Self::admit) call at `now` could do anything:
     /// an arrival is due or blocked jobs are queued. Lets the runtime
-    /// skip building the claimed-worker set on quiet events.
+    /// skip the admission call on quiet events.
     fn wants_admission(&self, now: SimTime) -> bool {
         self.next_event_at().is_some_and(|t| t.at_or_before(now)) || self.backlog() > 0
     }
@@ -117,28 +123,6 @@ pub trait JobFeed {
     }
 }
 
-/// A slot in the runtime's job arena: legacy entry points borrow their
-/// DAGs for the whole run, feed-driven runs own them and drop each on
-/// retirement (the bounded-memory half of the open-loop contract).
-enum DagEntry<'a> {
-    /// Borrowed from the caller (closed-loop entry points).
-    Borrowed(&'a JobDag),
-    /// Owned, admitted from a [`JobFeed`]; dropped at retirement.
-    Owned(Box<JobDag>),
-    /// Retired: every unit finished, the DAG released.
-    Retired,
-}
-
-impl DagEntry<'_> {
-    fn dag(&self) -> &JobDag {
-        match self {
-            DagEntry::Borrowed(d) => d,
-            DagEntry::Owned(d) => d,
-            DagEntry::Retired => panic!("retired job's DAG accessed"),
-        }
-    }
-}
-
 /// One bar of a worker timeline (Fig. 1a).
 #[derive(Debug, Clone)]
 pub struct TimelineEntry {
@@ -146,8 +130,8 @@ pub struct TimelineEntry {
     pub worker: NodeId,
     /// The computation unit.
     pub comp: CompId,
-    /// Its label (e.g. `"F2"`).
-    pub label: String,
+    /// Its label (e.g. `"F2"`), shared with the DAG's unit.
+    pub label: Arc<str>,
     /// Its kind.
     pub kind: CompKind,
     /// Execution start.
@@ -213,28 +197,203 @@ impl RunResult {
     }
 }
 
+/// A unit or worker inside the arena: the live DAG's slot and the item's
+/// rank among that DAG's sorted ids (its local index).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Loc {
+    slot: u32,
+    local: u32,
+}
+
+/// Units unblocked by the completion of one unit, as local indices: the
+/// dependent computation units and communication ops whose counters it
+/// decrements. Taken (not cloned) at completion — a unit completes once.
+#[derive(Debug, Default)]
+struct Dependents {
+    comps: Vec<u32>,
+    comms: Vec<u32>,
+}
+
+/// Runtime state of one computation unit.
 #[derive(Debug)]
-struct CommState {
+struct CompSlot {
+    /// Unresolved dependency count; completions decrement it via the
+    /// reverse edges — no rescans.
+    pending: usize,
+    /// Local index of its worker.
+    worker: u32,
+    duration: f64,
+    dependents: Dependents,
+}
+
+/// Runtime state of one communication op.
+#[derive(Debug)]
+struct CommSlot {
+    pending: usize,
+    dependents: Dependents,
+    stages: usize,
     released_stages: usize,
     outstanding: usize,
     started: Option<SimTime>,
     done: bool,
 }
 
-/// Units unblocked by the completion of one unit: the dependent
-/// computation units and communication ops whose counters it decrements.
-#[derive(Debug, Default, Clone)]
-struct Dependents {
-    comps: Vec<CompId>,
-    comms: Vec<CommId>,
+/// Runtime state of one worker of a live DAG.
+#[derive(Debug)]
+struct WorkerSlot {
+    node: NodeId,
+    /// The worker's program, as local computation indices.
+    program: Vec<u32>,
+    /// Position of the program head.
+    ptr: usize,
+    /// Start of the unit it is running; `None` while idle.
+    running_since: Option<SimTime>,
+}
+
+/// An admitted, unretired job: its DAG plus dense per-unit state. Every
+/// `Vec` is indexed by local index (rank among the DAG's sorted ids), so
+/// no lookup is keyed by a global id, and everything is freed with the
+/// slot when the job retires.
+struct LiveDag<'a> {
+    /// Borrowed from the caller on the closed-loop entry points; owned
+    /// when admitted from a [`JobFeed`], and so dropped at retirement (the
+    /// bounded-memory half of the open-loop contract).
+    dag: Cow<'a, JobDag>,
+    comp_ids: Vec<CompId>,
+    comps: Vec<CompSlot>,
+    comm_ids: Vec<CommId>,
+    comms: Vec<CommSlot>,
+    workers: Vec<WorkerSlot>,
+    /// Unfinished units (comps + comms); the job retires at zero.
+    units_left: usize,
+}
+
+impl<'a> LiveDag<'a> {
+    /// Builds the dependency counters and reverse edges of one job.
+    fn new(entry: Cow<'a, JobDag>) -> LiveDag<'a> {
+        let dag = &*entry;
+        let comp_ids: Vec<CompId> = dag.comps.keys().copied().collect();
+        let comm_ids: Vec<CommId> = dag.comms.keys().copied().collect();
+        let nodes = dag.workers();
+        let comp_rank = |id: &CompId| rank(&comp_ids, id);
+        let comm_rank = |id: &CommId| rank(&comm_ids, id);
+        let mut comps: Vec<CompSlot> = dag
+            .comps
+            .values()
+            .map(|unit| CompSlot {
+                pending: unit.deps_comp.len() + unit.deps_comm.len(),
+                worker: rank(&nodes, &unit.worker) as u32,
+                duration: unit.duration,
+                dependents: Dependents::default(),
+            })
+            .collect();
+        let mut comms: Vec<CommSlot> = dag
+            .comms
+            .values()
+            .map(|comm| CommSlot {
+                pending: comm.deps_comp.len() + comm.deps_comm.len(),
+                dependents: Dependents::default(),
+                stages: comm.stages.len(),
+                released_stages: 0,
+                outstanding: 0,
+                started: None,
+                done: false,
+            })
+            .collect();
+        for (i, unit) in dag.comps.values().enumerate() {
+            for d in &unit.deps_comp {
+                comps[comp_rank(d)].dependents.comps.push(i as u32);
+            }
+            for d in &unit.deps_comm {
+                comms[comm_rank(d)].dependents.comps.push(i as u32);
+            }
+        }
+        for (i, comm) in dag.comms.values().enumerate() {
+            for d in &comm.deps_comp {
+                comps[comp_rank(d)].dependents.comms.push(i as u32);
+            }
+            for d in &comm.deps_comm {
+                comms[comm_rank(d)].dependents.comms.push(i as u32);
+            }
+        }
+        let workers = dag
+            .programs
+            .iter()
+            .map(|(&node, program)| WorkerSlot {
+                node,
+                program: program.iter().map(|c| comp_rank(c) as u32).collect(),
+                ptr: 0,
+                running_since: None,
+            })
+            .collect();
+        let units_left = comps.len() + comms.len();
+        LiveDag {
+            dag: entry,
+            comp_ids,
+            comps,
+            comm_ids,
+            comms,
+            workers,
+            units_left,
+        }
+    }
+}
+
+/// The local index of `id`: its rank in the DAG's sorted `ids`. Ids of
+/// dependencies and programs always belong to the same DAG.
+fn rank<T: Ord>(ids: &[T], id: &T) -> usize {
+    ids.binary_search(id).expect("id inside its DAG")
+}
+
+/// Live DAGs by slot. A retired job's slot is freed and reused by the
+/// next admission, so the arena is sized by the concurrently admitted
+/// jobs, not by the stream's history.
+#[derive(Default)]
+struct Arena<'a> {
+    slots: Vec<Option<LiveDag<'a>>>,
+    free: Vec<u32>,
+}
+
+impl<'a> Arena<'a> {
+    fn insert(&mut self, dag: LiveDag<'a>) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(dag);
+                slot
+            }
+            None => {
+                self.slots.push(Some(dag));
+                (self.slots.len() - 1) as u32
+            }
+        }
+    }
+
+    fn remove(&mut self, slot: u32) -> LiveDag<'a> {
+        let dag = self.slots[slot as usize].take().expect("live dag");
+        self.free.push(slot);
+        dag
+    }
+
+    fn get(&self, slot: u32) -> &LiveDag<'a> {
+        self.slots[slot as usize].as_ref().expect("live dag")
+    }
+
+    fn get_mut(&mut self, slot: u32) -> &mut LiveDag<'a> {
+        self.slots[slot as usize].as_mut().expect("live dag")
+    }
 }
 
 /// The DAG-runtime [`WorkloadSource`]: computation programs, dependency
 /// counters, staged communication ops, and per-job admission times.
+///
+/// Per-event cost is O(live state): running units sit in an end-time
+/// heap, and per-unit state lives in dense per-DAG arrays ([`LiveDag`]).
+/// Every queue the cascade drains is ordered by global id, which keeps
+/// the simulation deterministic and independent of slot assignment.
 struct JobSource<'a> {
-    /// Job arena. Indices are stable (feed admissions append); retired
-    /// slots hold [`DagEntry::Retired`] and are never read again.
-    dags: Vec<DagEntry<'a>>,
+    /// Live jobs. Closed-loop entry points admit every DAG at
+    /// construction, so there a DAG's slot is its index in the input.
+    dags: Arena<'a>,
     /// Incremental job supplier for open-loop runs; `None` on the legacy
     /// entry points (all DAGs admitted at construction).
     feed: Option<&'a mut dyn JobFeed>,
@@ -245,36 +404,25 @@ struct JobSource<'a> {
     arrival_order: Vec<usize>,
     arrival_cursor: usize,
 
-    // Merged lookups (dag index per unit; flows to their comm/job).
-    comp_of: BTreeMap<CompId, usize>,
-    comm_of: BTreeMap<CommId, usize>,
-    flow_to_comm: BTreeMap<FlowId, CommId>,
-    job_of_flow: BTreeMap<FlowId, JobId>,
-    worker_dag: BTreeMap<NodeId, usize>,
-
-    /// Unresolved dependency count per unit. Built once; completions
-    /// decrement via the reverse edges below — no rescans.
-    comp_pending: BTreeMap<CompId, usize>,
-    comm_pending: BTreeMap<CommId, usize>,
-    /// Reverse dependency edges, built once per run.
-    comp_dependents: BTreeMap<CompId, Dependents>,
-    comm_dependents: BTreeMap<CommId, Dependents>,
-
-    comm_state: BTreeMap<CommId, CommState>,
-    /// In-flight computation units and their end times.
-    running: BTreeMap<CompId, SimTime>,
-    worker_busy_now: BTreeMap<NodeId, bool>,
-    program_ptr: BTreeMap<NodeId, usize>,
-    comp_starts: BTreeMap<CompId, SimTime>,
+    /// Slot and local index of each claimed worker, indexed by node id
+    /// (bounded by the topology, not by history).
+    worker_at: Vec<Option<Loc>>,
+    /// The claimed workers as a set, kept in step with `worker_at` for
+    /// the feed's admission test.
+    claimed: BTreeSet<NodeId>,
+    /// Owning communication op of every released, unfinished flow.
+    in_flight: BTreeMap<FlowId, Loc>,
+    /// Running computation units as a min-heap of `(end, id, loc)`. It is
+    /// the only record of end times: a worker has `running_since` set
+    /// iff its program head is in the heap.
+    running: BinaryHeap<Reverse<(SimTime, CompId, Loc)>>,
+    /// Reused buffer for the units completing at one instant.
+    due: Vec<(CompId, Loc)>,
     /// Communication ops with a releasable stage (deps met or previous
     /// stage drained), released in ascending id order.
-    ready_comms: BTreeSet<CommId>,
+    ready_comms: BTreeSet<(CommId, Loc)>,
     /// Workers whose program head may have become startable.
     ready_workers: BTreeSet<NodeId>,
-    /// Unfinished units (comps + comms) per admitted dag; a job whose
-    /// count hits zero retires: its per-unit lookups are dropped and its
-    /// worker claims freed for later arrivals.
-    job_units_left: BTreeMap<usize, usize>,
     /// Set when a job retires during the current release pass; the feed
     /// admission scan re-runs so a blocked job can enter at this instant.
     retired_in_pass: bool,
@@ -296,28 +444,18 @@ struct JobSource<'a> {
 impl<'a> JobSource<'a> {
     fn empty() -> JobSource<'a> {
         JobSource {
-            dags: Vec::new(),
+            dags: Arena::default(),
             feed: None,
             arrivals: Vec::new(),
             arrival_order: Vec::new(),
             arrival_cursor: 0,
-            comp_of: BTreeMap::new(),
-            comm_of: BTreeMap::new(),
-            flow_to_comm: BTreeMap::new(),
-            job_of_flow: BTreeMap::new(),
-            worker_dag: BTreeMap::new(),
-            comp_pending: BTreeMap::new(),
-            comm_pending: BTreeMap::new(),
-            comp_dependents: BTreeMap::new(),
-            comm_dependents: BTreeMap::new(),
-            comm_state: BTreeMap::new(),
-            running: BTreeMap::new(),
-            worker_busy_now: BTreeMap::new(),
-            program_ptr: BTreeMap::new(),
-            comp_starts: BTreeMap::new(),
+            worker_at: Vec::new(),
+            claimed: BTreeSet::new(),
+            in_flight: BTreeMap::new(),
+            running: BinaryHeap::new(),
+            due: Vec::new(),
             ready_comms: BTreeSet::new(),
             ready_workers: BTreeSet::new(),
-            job_units_left: BTreeMap::new(),
             retired_in_pass: false,
             comps_done: 0,
             comms_done: 0,
@@ -348,8 +486,9 @@ impl<'a> JobSource<'a> {
             order
         };
         source.arrivals = arrivals;
-        for &dag in dags {
-            source.admit_entry(DagEntry::Borrowed(dag));
+        for (i, &dag) in dags.iter().enumerate() {
+            let slot = source.admit_entry(Cow::Borrowed(dag));
+            debug_assert_eq!(slot as usize, i, "construction admits into fresh slots");
         }
         source
     }
@@ -360,128 +499,86 @@ impl<'a> JobSource<'a> {
         source
     }
 
-    /// Indexes one job into the arena: lookups, dependency counters,
-    /// reverse edges, worker claims, unit totals. Panics if a worker is
-    /// already claimed by a live job — legacy entry points reach this from
-    /// construction (disjointness validation), feed-driven runs only after
-    /// the admission gate checked the claim set.
-    fn admit_entry(&mut self, entry: DagEntry<'a>) -> usize {
-        let di = self.dags.len();
-        self.dags.push(entry);
-        let dag = self.dags[di].dag();
-        for w in dag.workers() {
-            if let Some(&prev) = self.worker_dag.get(&w) {
-                let prev = self.dags[prev].dag().job;
-                panic!("worker {w} claimed by both {prev} and {}", dag.job);
-            }
-            self.worker_dag.insert(w, di);
-            self.worker_busy_now.insert(w, false);
-            self.program_ptr.insert(w, 0);
-        }
-        for (&id, unit) in &dag.comps {
-            self.comp_of.insert(id, di);
-            self.comp_pending
-                .insert(id, unit.deps_comp.len() + unit.deps_comm.len());
-            for &d in &unit.deps_comp {
-                self.comp_dependents.entry(d).or_default().comps.push(id);
-            }
-            for &d in &unit.deps_comm {
-                self.comm_dependents.entry(d).or_default().comps.push(id);
+    /// The slot and local index of a claimed worker.
+    fn worker_loc(&self, node: NodeId) -> Option<Loc> {
+        self.worker_at.get(node.0 as usize).copied().flatten()
+    }
+
+    /// Indexes one job into the arena and claims its workers. Panics if a
+    /// worker is already claimed by a live job — legacy entry points
+    /// reach this from construction (disjointness validation), feed-driven
+    /// runs only after the admission gate checked the claim set.
+    fn admit_entry(&mut self, entry: Cow<'a, JobDag>) -> u32 {
+        let live = LiveDag::new(entry);
+        for w in &live.workers {
+            if let Some(prev) = self.worker_loc(w.node) {
+                let prev = self.dags.get(prev.slot).dag.job;
+                panic!(
+                    "worker {} claimed by both {prev} and {}",
+                    w.node, live.dag.job
+                );
             }
         }
-        for (&id, comm) in &dag.comms {
-            self.comm_of.insert(id, di);
-            self.comm_pending
-                .insert(id, comm.deps_comp.len() + comm.deps_comm.len());
-            for &d in &comm.deps_comp {
-                self.comp_dependents.entry(d).or_default().comms.push(id);
+        self.total_comps += live.comps.len();
+        self.total_comms += live.comms.len();
+        let slot = self.dags.insert(live);
+        for (local, w) in self.dags.get(slot).workers.iter().enumerate() {
+            let at = w.node.0 as usize;
+            if at >= self.worker_at.len() {
+                self.worker_at.resize(at + 1, None);
             }
-            for &d in &comm.deps_comm {
-                self.comm_dependents.entry(d).or_default().comms.push(id);
-            }
-            self.comm_state.insert(
-                id,
-                CommState {
-                    released_stages: 0,
-                    outstanding: 0,
-                    started: None,
-                    done: false,
-                },
-            );
-            for f in comm.flows() {
-                self.flow_to_comm.insert(f.id, id);
-                self.job_of_flow.insert(f.id, dag.job);
-            }
+            self.worker_at[at] = Some(Loc {
+                slot,
+                local: local as u32,
+            });
+            self.claimed.insert(w.node);
         }
-        self.total_comps += dag.comps.len();
-        self.total_comms += dag.comms.len();
-        self.job_units_left
-            .insert(di, dag.comps.len() + dag.comms.len());
-        di
+        slot
     }
 
     /// Admits a feed-supplied job at `now`: index, activate, and — for a
     /// degenerate job with no units at all — retire on the spot.
     fn admit_dag(&mut self, dag: JobDag, now: SimTime) {
-        let di = self.admit_entry(DagEntry::Owned(Box::new(dag)));
-        self.activate(di);
-        if self.job_units_left.get(&di) == Some(&0) {
-            self.retire_job(di, now);
+        let slot = self.admit_entry(Cow::Owned(dag));
+        self.activate(slot);
+        if self.dags.get(slot).units_left == 0 {
+            self.retire_job(slot, now);
         }
     }
 
     /// Decrements a job's unfinished-unit count, retiring it at zero.
-    fn note_unit_done(&mut self, di: usize, now: SimTime) {
-        let left = self.job_units_left.get_mut(&di).expect("live job");
-        *left -= 1;
-        if *left == 0 {
-            self.retire_job(di, now);
+    fn note_unit_done(&mut self, slot: u32, now: SimTime) {
+        let live = self.dags.get_mut(slot);
+        live.units_left -= 1;
+        if live.units_left == 0 {
+            self.retire_job(slot, now);
         }
     }
 
-    /// Retires a finished job: every per-unit lookup is dropped, its
-    /// worker claims are freed (later arrivals may reuse the hosts), and
-    /// an owned DAG is released. Bounded memory for open-loop runs; for
-    /// legacy runs this is pure cleanup with no observable effect.
-    fn retire_job(&mut self, di: usize, now: SimTime) {
-        let entry = std::mem::replace(&mut self.dags[di], DagEntry::Retired);
-        let dag = entry.dag();
-        let job = dag.job;
-        for w in dag.workers() {
-            self.worker_dag.remove(&w);
-            self.worker_busy_now.remove(&w);
-            self.program_ptr.remove(&w);
-            self.ready_workers.remove(&w);
+    /// Retires a finished job: its arena slot (per-unit state and an
+    /// owned DAG) is freed and its worker claims released, so later
+    /// arrivals may reuse the hosts. Bounded memory for open-loop runs;
+    /// for legacy runs this is pure cleanup with no observable effect.
+    /// All its comms are done, so none is queued in `ready_comms`.
+    fn retire_job(&mut self, slot: u32, now: SimTime) {
+        let live = self.dags.remove(slot);
+        let job = live.dag.job;
+        for w in &live.workers {
+            self.worker_at[w.node.0 as usize] = None;
+            self.claimed.remove(&w.node);
+            self.ready_workers.remove(&w.node);
         }
-        for &id in dag.comps.keys() {
-            self.comp_of.remove(&id);
-            self.comp_pending.remove(&id);
-            self.comp_dependents.remove(&id);
-            self.comp_starts.remove(&id);
-        }
-        for (&id, comm) in &dag.comms {
-            self.comm_of.remove(&id);
-            self.comm_pending.remove(&id);
-            self.comm_dependents.remove(&id);
-            self.comm_state.remove(&id);
-            self.ready_comms.remove(&id);
-            for f in comm.flows() {
-                self.flow_to_comm.remove(&f.id);
-                self.job_of_flow.remove(&f.id);
-            }
-        }
-        self.job_units_left.remove(&di);
         // A unit-less job still completes: its makespan is its admission.
         self.result.job_makespans.entry(job).or_insert(now);
-        drop(entry);
+        drop(live);
         self.retired_in_pass = true;
         if let Some(feed) = self.feed.as_deref_mut() {
             feed.on_job_retired(now, job);
         }
     }
 
-    /// One feed admission pass: collect the current worker claims, let
-    /// the feed admit every due, unblocked job, and index each.
+    /// One feed admission pass: let the feed admit every due, unblocked
+    /// job against the current worker claims, and index each.
     fn admit_from_feed(&mut self, now: SimTime) {
         let Some(feed) = self.feed.as_deref_mut() else {
             return;
@@ -489,78 +586,50 @@ impl<'a> JobSource<'a> {
         if !feed.wants_admission(now) {
             return;
         }
-        let claimed: BTreeSet<NodeId> = self.worker_dag.keys().copied().collect();
-        let admitted = self
-            .feed
-            .as_deref_mut()
-            .expect("feed mode")
-            .admit(now, &claimed);
+        let admitted = feed.admit(now, &self.claimed);
         for dag in admitted {
             self.admit_dag(dag, now);
         }
     }
 
-    /// Admits dag `idx`: its workers and dependency-free communication
-    /// ops enter the ready queues.
-    fn activate(&mut self, idx: usize) {
-        let dag = self.dags[idx].dag();
-        for w in dag.workers() {
-            self.ready_workers.insert(w);
+    /// Admits the dag in `slot`: its workers and dependency-free
+    /// communication ops enter the ready queues.
+    fn activate(&mut self, slot: u32) {
+        let live = self.dags.get(slot);
+        for w in &live.workers {
+            self.ready_workers.insert(w.node);
         }
-        for &cid in dag.comms.keys() {
-            if self.comm_pending[&cid] == 0 {
-                self.ready_comms.insert(cid);
+        for (local, comm) in live.comms.iter().enumerate() {
+            if comm.pending == 0 {
+                let at = Loc {
+                    slot,
+                    local: local as u32,
+                };
+                self.ready_comms.insert((live.comm_ids[local], at));
             }
         }
     }
 
-    /// A completed computation unit unblocks its dependents: counters
-    /// decrement, and units that reach zero enter the ready queues.
-    fn resolve_comp(&mut self, id: CompId) {
-        let Some(deps) = self.comp_dependents.get(&id) else {
-            return;
-        };
-        let deps = deps.clone();
+    /// A completed unit unblocks its dependents: counters decrement, and
+    /// units that reach zero enter the ready queues.
+    fn resolve(&mut self, slot: u32, deps: Dependents) {
+        let live = self.dags.get_mut(slot);
         for c in deps.comps {
-            let p = self.comp_pending.get_mut(&c).expect("known comp");
-            *p -= 1;
-            if *p == 0 {
+            let unit = &mut live.comps[c as usize];
+            unit.pending -= 1;
+            if unit.pending == 0 {
                 // Startable once it is also at its program head; the
                 // worker queue re-checks that.
-                let di = self.comp_of[&c];
                 self.ready_workers
-                    .insert(self.dags[di].dag().comps[&c].worker);
+                    .insert(live.workers[unit.worker as usize].node);
             }
         }
         for m in deps.comms {
-            let p = self.comm_pending.get_mut(&m).expect("known comm");
-            *p -= 1;
-            if *p == 0 {
-                self.ready_comms.insert(m);
-            }
-        }
-    }
-
-    /// Same as [`Self::resolve_comp`] for a completed communication op.
-    fn resolve_comm(&mut self, id: CommId) {
-        let Some(deps) = self.comm_dependents.get(&id) else {
-            return;
-        };
-        let deps = deps.clone();
-        for c in deps.comps {
-            let p = self.comp_pending.get_mut(&c).expect("known comp");
-            *p -= 1;
-            if *p == 0 {
-                let di = self.comp_of[&c];
-                self.ready_workers
-                    .insert(self.dags[di].dag().comps[&c].worker);
-            }
-        }
-        for m in deps.comms {
-            let p = self.comm_pending.get_mut(&m).expect("known comm");
-            *p -= 1;
-            if *p == 0 {
-                self.ready_comms.insert(m);
+            let comm = &mut live.comms[m as usize];
+            comm.pending -= 1;
+            if comm.pending == 0 {
+                let at = Loc { slot, local: m };
+                self.ready_comms.insert((live.comm_ids[m as usize], at));
             }
         }
     }
@@ -571,69 +640,78 @@ impl<'a> JobSource<'a> {
         self.slow_factor.get(&w).copied().unwrap_or(1.0)
     }
 
-    /// Completes a running computation unit at `now`.
-    fn finish_comp(&mut self, id: CompId, now: SimTime) {
-        self.running.remove(&id);
-        let di = self.comp_of[&id];
-        let dag = self.dags[di].dag();
-        let unit = &dag.comps[&id];
-        let worker = unit.worker;
-        let start = self.comp_starts[&id];
+    /// Records a finished computation unit's span and timeline bar.
+    fn record_comp(&mut self, slot: u32, id: CompId, worker: NodeId, start: SimTime, now: SimTime) {
+        let unit = &self.dags.get(slot).dag.comps[&id];
         self.result.comp_spans.insert(id, (start, now));
         self.result.timeline.push(TimelineEntry {
             worker,
             comp: id,
-            label: unit.label.clone(),
+            label: Arc::clone(&unit.label),
             kind: unit.kind,
             start,
             end: now,
         });
+        self.comps_done += 1;
+    }
+
+    /// Completes a running computation unit at `now`.
+    fn finish_comp(&mut self, id: CompId, at: Loc, now: SimTime) {
+        let live = self.dags.get_mut(at.slot);
+        let comp = &mut live.comps[at.local as usize];
+        let deps = std::mem::take(&mut comp.dependents);
+        let w = &mut live.workers[comp.worker as usize];
+        let start = w.running_since.take().expect("running comp");
+        w.ptr += 1;
+        let worker = w.node;
+        let job = live.dag.job;
+        self.record_comp(at.slot, id, worker, start, now);
         // Wall time actually occupied (equals the nominal duration unless
         // a WorkerSlowdown fault stretched the unit mid-flight).
         *self.result.worker_busy.entry(worker).or_insert(0.0) += (now - start).max(0.0);
         let e = self
             .result
             .job_makespans
-            .entry(dag.job)
+            .entry(job)
             .or_insert(SimTime::ZERO);
         *e = (*e).max(now);
-        self.comps_done += 1;
-        self.worker_busy_now.insert(worker, false);
-        *self.program_ptr.get_mut(&worker).expect("known worker") += 1;
         self.ready_workers.insert(worker);
-        self.resolve_comp(id);
-        self.note_unit_done(di, now);
+        self.resolve(at.slot, deps);
+        self.note_unit_done(at.slot, now);
     }
 
     /// Marks a communication op complete (last flow of its last stage).
-    fn finish_comm(&mut self, cid: CommId, now: SimTime) {
-        let di = self.comm_of[&cid];
-        let st = self.comm_state.get_mut(&cid).expect("known comm");
+    fn finish_comm(&mut self, at: Loc, now: SimTime) {
+        let live = self.dags.get_mut(at.slot);
+        let st = &mut live.comms[at.local as usize];
         st.done = true;
         let started = st.started.expect("started comm");
-        self.result.comm_spans.insert(cid, (started, now));
+        let deps = std::mem::take(&mut st.dependents);
+        self.result
+            .comm_spans
+            .insert(live.comm_ids[at.local as usize], (started, now));
         self.comms_done += 1;
-        self.resolve_comm(cid);
-        self.note_unit_done(di, now);
+        self.resolve(at.slot, deps);
+        self.note_unit_done(at.slot, now);
     }
 
     /// Releases the next stage of a ready communication op.
-    fn release_stage(&mut self, cid: CommId, now: SimTime, net: &mut FluidNetwork) {
-        let dag = self.dags[self.comm_of[&cid]].dag();
-        let comm = &dag.comms[&cid];
-        let st = self.comm_state.get_mut(&cid).expect("known comm");
+    fn release_stage(&mut self, cid: CommId, at: Loc, now: SimTime, net: &mut FluidNetwork) {
+        let live = self.dags.get_mut(at.slot);
+        let st = &mut live.comms[at.local as usize];
         debug_assert!(
-            !st.done && st.outstanding == 0 && st.released_stages < comm.stages.len(),
+            !st.done && st.outstanding == 0 && st.released_stages < st.stages,
             "{cid} not in a releasable state"
         );
         if st.started.is_none() {
             st.started = Some(now);
         }
-        let stage = &comm.stages[st.released_stages];
+        let stage = &live.dag.comms[&cid].stages[st.released_stages];
         st.released_stages += 1;
         st.outstanding = stage.flows.len();
         for f in &stage.flows {
             net.release(&FlowDemand::new(f.id, f.src, f.dst, f.size, now));
+            self.in_flight.insert(f.id, at);
             self.result.flow_releases.insert(f.id, now);
             self.result
                 .trace
@@ -645,52 +723,45 @@ impl<'a> JobSource<'a> {
     /// zero-duration units (barriers) inline and continuing down the
     /// program.
     fn advance_program(&mut self, worker: NodeId, now: SimTime) {
+        let slow = self.slow_of(worker);
         // Re-resolved every iteration: a zero-duration unit completed
         // inline can retire the whole job, dropping the worker's claim
         // mid-loop.
         loop {
-            let Some(&di) = self.worker_dag.get(&worker) else {
+            let Some(wat) = self.worker_loc(worker) else {
                 return;
             };
-            if self.worker_busy_now[&worker] {
+            let live = self.dags.get_mut(wat.slot);
+            let w = &mut live.workers[wat.local as usize];
+            if w.running_since.is_some() {
                 return;
             }
-            let ptr = self.program_ptr[&worker];
-            let dag = self.dags[di].dag();
-            let Some(program) = dag.programs.get(&worker) else {
+            let Some(&head) = w.program.get(w.ptr) else {
                 return;
             };
-            let Some(&head) = program.get(ptr) else {
-                return;
-            };
-            if self.comp_pending[&head] > 0 {
+            let comp = &mut live.comps[head as usize];
+            if comp.pending > 0 {
                 return;
             }
-            let unit = &dag.comps[&head];
-            let duration = unit.duration;
-            self.comp_starts.insert(head, now);
-            if duration <= EPS {
+            let id = live.comp_ids[head as usize];
+            if comp.duration <= EPS {
                 // Instantaneous unit (barrier): complete now. Bookkeeping
                 // mirrors the non-zero path except worker-busy seconds and
                 // job makespans, which a zero-length span cannot move.
-                self.result.comp_spans.insert(head, (now, now));
-                self.result.timeline.push(TimelineEntry {
-                    worker,
-                    comp: head,
-                    label: unit.label.clone(),
-                    kind: unit.kind,
-                    start: now,
-                    end: now,
-                });
-                self.comps_done += 1;
-                *self.program_ptr.get_mut(&worker).expect("known worker") += 1;
-                self.resolve_comp(head);
-                self.note_unit_done(di, now);
+                let deps = std::mem::take(&mut comp.dependents);
+                w.ptr += 1;
+                self.record_comp(wat.slot, id, worker, now, now);
+                self.resolve(wat.slot, deps);
+                self.note_unit_done(wat.slot, now);
                 continue;
             }
-            self.worker_busy_now.insert(worker, true);
+            w.running_since = Some(now);
+            let at = Loc {
+                slot: wat.slot,
+                local: head,
+            };
             self.running
-                .insert(head, now + duration * self.slow_of(worker));
+                .push(Reverse((now + comp.duration * slow, id, at)));
             return;
         }
     }
@@ -705,19 +776,25 @@ impl WorkloadSource for JobSource<'_> {
                 break;
             }
             self.arrival_cursor += 1;
-            self.activate(idx);
+            self.activate(idx as u32);
         }
         // Complete computation units whose end time has arrived, in
-        // ascending id order.
-        let due: Vec<CompId> = self
-            .running
-            .iter()
-            .filter(|(_, end)| end.at_or_before(now))
-            .map(|(&id, _)| id)
-            .collect();
-        for id in due {
-            self.finish_comp(id, now);
+        // ascending id order. `at_or_before` is monotone in the end time,
+        // so the due units are exactly a prefix of the heap.
+        let mut due = std::mem::take(&mut self.due);
+        while let Some(&Reverse((end, id, at))) = self.running.peek() {
+            if !end.at_or_before(now) {
+                break;
+            }
+            self.running.pop();
+            due.push((id, at));
         }
+        due.sort_unstable();
+        for &(id, at) in &due {
+            self.finish_comp(id, at, now);
+        }
+        due.clear();
+        self.due = due;
         // Feed admission, then cascade newly ready stages and program
         // heads to a fixpoint. Comms drain first (releasing flows as
         // early as possible within the instant); zero-duration
@@ -730,13 +807,11 @@ impl WorkloadSource for JobSource<'_> {
             self.admit_from_feed(now);
             self.retired_in_pass = false;
             loop {
-                if let Some(&cid) = self.ready_comms.iter().next() {
-                    self.ready_comms.remove(&cid);
-                    self.release_stage(cid, now, net);
+                if let Some((cid, at)) = self.ready_comms.pop_first() {
+                    self.release_stage(cid, at, now, net);
                     continue;
                 }
-                if let Some(&w) = self.ready_workers.iter().next() {
-                    self.ready_workers.remove(&w);
+                if let Some(w) = self.ready_workers.pop_first() {
                     self.advance_program(w, now);
                     continue;
                 }
@@ -757,7 +832,10 @@ impl WorkloadSource for JobSource<'_> {
     }
 
     fn next_event_in(&self, now: SimTime) -> Option<f64> {
-        let dt_comp = self.running.values().min().map(|end| (*end - now).max(0.0));
+        let dt_comp = self
+            .running
+            .peek()
+            .map(|Reverse((end, _, _))| (*end - now).max(0.0));
         let dt_arrival = self
             .arrival_order
             .get(self.arrival_cursor)
@@ -785,25 +863,24 @@ impl WorkloadSource for JobSource<'_> {
             self.result
                 .trace
                 .record(now, c.id, TraceEventKind::Finished);
-            if let Some(job) = self.job_of_flow.get(&c.id) {
-                let e = self
-                    .result
-                    .job_makespans
-                    .entry(*job)
-                    .or_insert(SimTime::ZERO);
-                *e = (*e).max(now);
-            }
-            let cid = self.flow_to_comm[&c.id];
-            let stages = self.dags[self.comm_of[&cid]].dag().comms[&cid].stages.len();
-            let st = self.comm_state.get_mut(&cid).expect("known comm");
+            let at = self.in_flight.remove(&c.id).expect("flow released here");
+            let live = self.dags.get_mut(at.slot);
+            let e = self
+                .result
+                .job_makespans
+                .entry(live.dag.job)
+                .or_insert(SimTime::ZERO);
+            *e = (*e).max(now);
+            let st = &mut live.comms[at.local as usize];
             st.outstanding -= 1;
             if st.outstanding == 0 {
-                if st.released_stages == stages {
-                    self.finish_comm(cid, now);
+                if st.released_stages == st.stages {
+                    self.finish_comm(at, now);
                 } else {
                     // Next stage releases at this same instant, in the
                     // cascade at the top of the next driver iteration.
-                    self.ready_comms.insert(cid);
+                    let cid = live.comm_ids[at.local as usize];
+                    self.ready_comms.insert((cid, at));
                 }
             }
         }
@@ -876,21 +953,34 @@ impl WorkloadSource for JobSource<'_> {
         };
         let old = self.slow_of(*worker);
         self.slow_factor.insert(*worker, *factor);
-        for (id, end) in self.running.iter_mut() {
-            let unit_worker = self.dags[self.comp_of[id]].dag().comps[id].worker;
+        // A rescaled end time can move past other units' ends, so the
+        // heap is rebuilt rather than patched.
+        let mut running = std::mem::take(&mut self.running).into_vec();
+        for Reverse((end, _, at)) in &mut running {
+            let live = self.dags.get(at.slot);
+            let unit_worker = live.workers[live.comps[at.local as usize].worker as usize].node;
             if unit_worker == *worker {
                 let left = (*end - now).max(0.0);
                 *end = now + left * (factor / old);
             }
         }
+        self.running = BinaryHeap::from(running);
     }
 
     fn deadlock_context(&self) -> String {
-        let pending: Vec<String> = self
-            .comm_state
+        let mut pending: Vec<(CommId, usize)> = self
+            .dags
+            .slots
             .iter()
+            .flatten()
+            .flat_map(|live| live.comm_ids.iter().zip(&live.comms))
             .filter(|(_, st)| !st.done)
-            .map(|(id, st)| format!("{id}@stage{}", st.released_stages))
+            .map(|(&id, st)| (id, st.released_stages))
+            .collect();
+        pending.sort_unstable();
+        let pending: Vec<String> = pending
+            .iter()
+            .map(|(id, stage)| format!("{id}@stage{stage}"))
             .collect();
         let feed_note = match &self.feed {
             Some(feed) => format!(
@@ -1300,6 +1390,44 @@ mod tests {
         // Busy accounting reflects the stretched wall time.
         assert!((out.worker_busy[&NodeId(0)] - 1.5).abs() < 1e-9);
         assert!((out.worker_busy[&NodeId(1)] - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn worker_slowdown_reorders_running_units() {
+        // w0 runs A [0,1] then A2 (0.25 s); w1 runs B [0,1.5] then B2
+        // (0.25 s). Slowing w0 by 4× at t=0.5 pushes A's end from 1.0 to
+        // 0.5 + 0.5 * 4 = 2.5, past B's 1.5, and stretches A2 to 1 s: the
+        // end-time order of the running units flips.
+        let mut alloc = IdAlloc::new();
+        let mut b = DagBuilder::new(JobId(0), &mut alloc);
+        let a = b.comp(NodeId(0), 1.0, CompKind::Forward, "A", &[], &[]);
+        let b1 = b.comp(NodeId(1), 1.5, CompKind::Forward, "B", &[], &[]);
+        let a2 = b.comp(NodeId(0), 0.25, CompKind::Backward, "A2", &[a], &[]);
+        let b2 = b.comp(NodeId(1), 0.25, CompKind::Backward, "B2", &[b1], &[]);
+        let dag = b.build();
+        let topo = Topology::big_switch_uniform(2, 1.0);
+        let plan = FaultPlan::empty().with(
+            SimTime::new(0.5),
+            FaultKind::WorkerSlowdown {
+                worker: NodeId(0),
+                factor: 4.0,
+            },
+        );
+        let out = run_jobs_faulted(
+            &topo,
+            &[&dag],
+            &mut MaxMinPolicy,
+            RecomputeMode::Full,
+            &plan,
+        );
+        let span = |id| out.comp_spans[&id];
+        assert_eq!(span(a), (SimTime::ZERO, SimTime::new(2.5)));
+        assert_eq!(span(b1), (SimTime::ZERO, SimTime::new(1.5)));
+        assert_eq!(span(b2), (SimTime::new(1.5), SimTime::new(1.75)));
+        assert_eq!(span(a2), (SimTime::new(2.5), SimTime::new(3.5)));
+        let order: Vec<CompId> = out.timeline.iter().map(|e| e.comp).collect();
+        assert_eq!(order, vec![a, b1, b2, a2]);
+        assert_eq!(out.makespan, SimTime::new(3.5));
     }
 
     #[test]

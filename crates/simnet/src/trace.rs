@@ -35,9 +35,10 @@ pub struct TraceEvent {
 #[derive(Debug, Default, Clone)]
 pub struct FlowTrace {
     events: Vec<TraceEvent>,
-    // Last rate recorded per flow, so the no-op dedup in `record_rate` is
-    // O(log flows) instead of a reverse scan over the whole event log
-    // (which made long runs accidentally quadratic).
+    // Last rate recorded per unfinished flow, so the no-op dedup in
+    // `record_rate` is O(log live flows) instead of a reverse scan over
+    // the whole event log (which made long runs accidentally quadratic).
+    // A flow's entry is dropped when it finishes: it is never rated again.
     last_rate: BTreeMap<FlowId, f64>,
 }
 
@@ -52,6 +53,9 @@ impl FlowTrace {
     pub fn record(&mut self, time: SimTime, flow: FlowId, kind: TraceEventKind) {
         if let Some(last) = self.events.last() {
             debug_assert!(last.time.at_or_before(time), "trace time went backwards");
+        }
+        if kind == TraceEventKind::Finished {
+            self.last_rate.remove(&flow);
         }
         self.events.push(TraceEvent { time, flow, kind });
     }
@@ -165,6 +169,20 @@ mod tests {
         tr.record(SimTime::new(3.0), FlowId(0), TraceEventKind::Finished);
         // 0.5 * 2 + 1.0 * 1 = 2.0
         assert!((tr.delivered_bytes(FlowId(0)) - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn rate_memory_holds_only_unfinished_flows() {
+        let mut tr = FlowTrace::new();
+        for i in 0..64 {
+            let (f, t) = (FlowId(i), SimTime::new(i as f64));
+            tr.record(t, f, TraceEventKind::Released);
+            tr.record_rate(t, f, 1.0);
+            assert!(tr.last_rate.len() <= 1);
+            tr.record(t + 0.5, f, TraceEventKind::Finished);
+            assert!(tr.last_rate.is_empty());
+        }
+        assert_eq!(tr.events().len(), 3 * 64);
     }
 
     #[test]

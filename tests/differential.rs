@@ -437,6 +437,30 @@ fn cluster_scenario_matches_across_modes() {
     }
 }
 
+/// The two closed-loop arrival mechanisms agree: arrival gates baked into
+/// the DAGs (`Scenario::generate`, every gate running from t=0) and
+/// runtime admission at the recorded arrival times
+/// (`Scenario::generate_ungated` + `run_admission`, no gates) give
+/// bit-identical flow finishes and job makespans. The gated run keeps one
+/// running unit per host of every job not yet arrived, so this also
+/// checks which units the runtime completes at each instant against a run
+/// without them.
+#[test]
+fn gated_arrivals_match_admission_arrivals() {
+    for seed in [1, 7, 43] {
+        let cfg = WorkloadConfig::default_mix(seed, 64, 256);
+        let gated = Scenario::generate(&cfg);
+        let ungated = Scenario::generate_ungated(&cfg);
+        for kind in SchedulerKind::ALL {
+            let (g, _) = gated.run_with_mode(kind, RecomputeMode::Incremental);
+            let (a, _) = ungated.run_admission(kind, RecomputeMode::Incremental);
+            let who = format!("{} seed {seed}", kind.name());
+            assert_eq!(g.flow_finishes, a.flow_finishes, "{who}: flow finishes");
+            assert_eq!(g.job_makespans, a.job_makespans, "{who}: job makespans");
+        }
+    }
+}
+
 /// The recompute-horizon path: under `RecomputeCadence::PolicyHorizon`
 /// (the DAG runtime's default) the driver skips rate recomputation at
 /// events the policy certified as covered by its latest allocation. The
